@@ -82,9 +82,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.item())
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

@@ -34,12 +34,13 @@ from .ensemble import (
     build_ensemble,
     generate_samples,
     load_ensemble,
+    member_logliks,
     save_ensemble,
 )
-from .errors import ConfigError, DataError, NadsError, NumericError, UsageError
+from .errors import ConfigError, DataError, NadsError, NumericError
 from .flow_core import FlowConfig, save_checkpoint
 from .ood_eval import ScoredSets, evaluate, write_report_files
-from .search_space import ArchDistribution, CellTopology, OP_KINDS, serialize_architecture
+from .search_space import ArchDistribution, CellTopology, serialize_architecture
 from .trainer import (
     RetrainConfig,
     SearchConfig,
@@ -47,7 +48,7 @@ from .trainer import (
     search,
     write_trace_csv,
 )
-from .waic import LogLikMatrix, read_report_csv, waic_per_sample, write_loglik_csv, write_report_csv
+from .waic import read_report_csv, waic_per_sample, write_loglik_csv, write_report_csv
 from .seeding import child_seed
 
 
@@ -136,24 +137,7 @@ def resolve_seed(args, doc: dict) -> int:
 
 
 def flow_config_from(doc: dict) -> FlowConfig:
-    f = doc.get("flow", {})
-    try:
-        in_shape = tuple(int(v) for v in f["in_shape"])
-    except KeyError as exc:
-        raise ConfigError("config is missing flow.in_shape") from exc
-    topology = CellTopology(
-        num_nodes=int(f.get("num_nodes", 4)),
-        edges=tuple(tuple(int(v) for v in e) for e in f.get("edges", CellTopology().edges)),
-    )
-    return FlowConfig(
-        in_shape=in_shape,
-        num_blocks=int(f.get("num_blocks", 2)),
-        flows_per_block=int(f.get("flows_per_block", 4)),
-        squeeze=bool(f.get("squeeze", True)),
-        topology=topology,
-        ops=tuple(f.get("ops", OP_KINDS)),
-        tie_cells_per_block=bool(f.get("tie_cells_per_block", True)),
-    )
+    return FlowConfig.from_dict(doc.get("flow", {}))
 
 
 def tau_schedule_from(doc: dict) -> TauSchedule:
@@ -278,16 +262,7 @@ def save_distribution(dist: ArchDistribution, flow: FlowConfig, path: Path) -> N
         "topology": {"num_nodes": dist.topology.num_nodes,
                      "edges": [list(e) for e in dist.topology.edges]},
         "num_cell_groups": dist.num_cell_groups,
-        "flow": {
-            "in_shape": list(flow.in_shape),
-            "num_blocks": flow.num_blocks,
-            "flows_per_block": flow.flows_per_block,
-            "squeeze": flow.squeeze,
-            "ops": list(flow.ops),
-            "num_nodes": flow.topology.num_nodes,
-            "edges": [list(e) for e in flow.topology.edges],
-            "tie_cells_per_block": flow.tie_cells_per_block,
-        },
+        "flow": flow.to_dict(),
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 
@@ -295,17 +270,20 @@ def save_distribution(dist: ArchDistribution, flow: FlowConfig, path: Path) -> N
 def load_distribution(path: Path) -> tuple[ArchDistribution, FlowConfig]:
     if not path.exists():
         raise ArtifactMissingError(f"distribution checkpoint {path} not found")
-    doc = json.loads(path.read_text())
-    topo = CellTopology(doc["topology"]["num_nodes"],
-                        tuple(tuple(e) for e in doc["topology"]["edges"]))
-    dist = ArchDistribution(
-        np.asarray(doc["logits"]),
-        tau=float(doc["tau"]),
-        ops=tuple(doc["ops"]),
-        topology=topo,
-        num_cell_groups=int(doc["num_cell_groups"]),
-    )
-    flow = flow_config_from({"flow": doc["flow"]})
+    try:
+        doc = json.loads(path.read_text())
+        topo = CellTopology(doc["topology"]["num_nodes"],
+                            tuple(tuple(e) for e in doc["topology"]["edges"]))
+        dist = ArchDistribution(
+            np.asarray(doc["logits"]),
+            tau=float(doc["tau"]),
+            ops=tuple(doc["ops"]),
+            topology=topo,
+            num_cell_groups=int(doc["num_cell_groups"]),
+        )
+        flow = FlowConfig.from_dict(doc["flow"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path} is not a valid distribution file: {exc!r}") from exc
     return dist, flow
 
 
@@ -351,13 +329,7 @@ def cmd_ensemble(args) -> int:
     doc = resolve_config(args)
     seed = resolve_seed(args, doc)
     dist, flow = load_distribution(Path(args.phi))
-    doc_with_flow = _deep_merge(doc, {"flow": {
-        "in_shape": list(flow.in_shape), "num_blocks": flow.num_blocks,
-        "flows_per_block": flow.flows_per_block, "squeeze": flow.squeeze,
-        "ops": list(flow.ops), "num_nodes": flow.topology.num_nodes,
-        "edges": [list(e) for e in flow.topology.edges],
-        "tie_cells_per_block": flow.tie_cells_per_block,
-    }})
+    doc_with_flow = _deep_merge(doc, {"flow": flow.to_dict()})
     config = retrain_config_from(doc_with_flow, seed, args)
     train = _load_training_data(args.data, seed)
     out_dir = Path(args.out_dir)
@@ -386,8 +358,7 @@ def cmd_score(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     x = _adapt_shape(data.x, ens.in_shape)
-    cols = [mem.log_prob(x) for mem in ens.members]
-    ll = LogLikMatrix(np.stack(cols, axis=1), weights=ens.weights)
+    ll = member_logliks(ens, x)
     report = waic_per_sample(ll)
     ll_path = out_dir / "loglik.csv"
     write_loglik_csv(ll, ll_path)
@@ -472,7 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--profile", help=f"named base profile: {', '.join(sorted(PROFILES))}")
         p.add_argument("--seed", type=int, help="root seed (fallback: config, then $NADS_SEED)")
-        p.add_argument("--threads", type=int, default=1, help="worker cap for parallel sections")
 
     p = sub.add_parser("search", help="optimize the architecture distribution")
     common(p)
@@ -523,9 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        print("error: --threads must be at least 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except ArtifactMissingError as exc:
@@ -534,7 +501,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (ConfigError, DataError, UsageError) as exc:
+    except NadsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -269,7 +269,12 @@ def load_data_manifest(path) -> dict[str, Dataset]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"data manifest {p} not found")
-    doc = json.loads(p.read_text())
+    try:
+        doc = json.loads(p.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"data manifest {p} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"data manifest {p} must be a JSON object")
     fmt = doc.get("format", "csv")
     if fmt not in ("csv", "idx"):
         raise ConfigError(f"unknown dataset format {fmt!r}")

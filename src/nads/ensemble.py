@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, NadsError, ShapeError
+from .errors import ConfigError, DataError, NadsError, ShapeError
 from .flow_core import FlowModel, load_checkpoint, save_checkpoint
 from .search_space import (
     ArchDistribution,
@@ -23,7 +23,7 @@ from .search_space import (
     serialize_architecture,
 )
 from .trainer import RetrainConfig, retrain
-from .waic import weighted_moments
+from .waic import LogLikMatrix, waic_per_sample
 from .seeding import child_seed, rng_for
 
 
@@ -37,12 +37,6 @@ class EnsembleMember:
     def log_prob(self, x: np.ndarray) -> np.ndarray:
         with ad.no_grad():
             return self.model.log_prob(x, self.arch).data
-
-    def loglik_variance(self, x: np.ndarray) -> np.ndarray:
-        """Per-model likelihood variance; identically zero for deterministic
-        flows. Stochastic members (e.g. variational dropout) would override
-        this."""
-        return np.zeros(x.shape[0])
 
 
 @dataclass
@@ -96,7 +90,7 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
     members: list[EnsembleMember] = []
     for j in range(m):
         arch = sample_discrete(dist, child_seed(seed, "arch", j))
-        member_cfg = _with_seed(config, child_seed(seed, "member", j))
+        member_cfg = replace(config, seed=child_seed(seed, "member", j))
         try:
             model = retrain(arch, data, member_cfg, init_from=warm_start)
         except NadsError as exc:
@@ -111,39 +105,17 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
     return Ensemble(members, provenance=info)
 
 
-def _with_seed(config: RetrainConfig, seed: int) -> RetrainConfig:
-    return replace(config, seed=seed)
-
-
-def _member_matrix(ens: Ensemble, x: np.ndarray) -> np.ndarray:
+def member_logliks(ens: Ensemble, x: np.ndarray) -> LogLikMatrix:
+    """Every member's per-sample log-likelihood, one column per member,
+    weighted by posterior mass; `waic.waic_per_sample` scores it."""
     x = np.asarray(x, dtype=np.float64)
     cols = [mem.log_prob(x) for mem in ens.members]
-    return np.stack(cols, axis=1)
-
-
-def ensemble_mean_loglik(ens: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Weighted per-sample mean of member log-likelihoods."""
-    mat = _member_matrix(ens, x)
-    mean, _ = weighted_moments(mat, ens.weights)
-    return mean
-
-
-def ensemble_var_loglik(ens: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Weighted per-sample variance of member log-likelihoods, plus any
-    per-member inner variance (zero for flows). Clamped at 0."""
-    mat = _member_matrix(ens, x)
-    _, var = weighted_moments(mat, ens.weights)
-    inner = np.zeros(mat.shape[0])
-    for mem in ens.members:
-        inner = inner + mem.weight * mem.loglik_variance(x)
-    return np.maximum(var + inner, 0.0)
+    return LogLikMatrix(np.stack(cols, axis=1), weights=ens.weights)
 
 
 def ensemble_waic(ens: Ensemble, x: np.ndarray) -> np.ndarray:
     """Per-sample score: weighted mean log-likelihood minus its variance."""
-    mat = _member_matrix(ens, x)
-    mean, var = weighted_moments(mat, ens.weights)
-    return mean - var
+    return waic_per_sample(member_logliks(ens, x)).score
 
 
 def generate_samples(source, count: int, temperature: float = 1.0, seed: int = 0,
@@ -217,29 +189,31 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
 
 
 def load_ensemble(manifest_path) -> Ensemble:
+    """Read a manifest written by save_ensemble. Each member checkpoint must
+    match the sha256 recorded for it before it is loaded."""
     path = Path(manifest_path)
     if not path.exists():
         raise FileNotFoundError(f"ensemble manifest {path} not found")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+        entries = [(e["checkpoint"], e["sha256"], e["arch_ops"], float(e["raw_log_mass"]),
+                    float(e["weight"])) for e in manifest["members"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path} is not a valid ensemble manifest: {exc!r}") from exc
     members = []
-    for entry in manifest["members"]:
-        ckpt = path.parent / entry["checkpoint"]
+    for name, sha256, chosen, raw_log_mass, weight in entries:
+        ckpt = path.parent / name
         if not ckpt.exists():
             raise FileNotFoundError(f"member checkpoint {ckpt} not found")
+        if hashlib.sha256(ckpt.read_bytes()).hexdigest() != sha256:
+            raise DataError(f"member checkpoint {ckpt} does not match its recorded sha256")
         model = load_checkpoint(ckpt)
         rows = model.config.num_cell_groups() * model.config.topology.num_edges
         k = len(model.config.ops)
         w = np.zeros((rows, k))
-        chosen = entry["arch_ops"]
         if len(chosen) != rows:
             raise ShapeError(f"manifest lists {len(chosen)} edges, model expects {rows}")
         w[np.arange(rows), chosen] = 1.0
-        members.append(
-            EnsembleMember(
-                ArchSample("discrete", w),
-                model,
-                raw_log_mass=float(entry["raw_log_mass"]),
-                weight=float(entry["weight"]),
-            )
-        )
+        members.append(EnsembleMember(ArchSample("discrete", w), model,
+                                      raw_log_mass=raw_log_mass, weight=weight))
     return Ensemble(members, provenance=manifest.get("provenance", {}))

@@ -223,13 +223,48 @@ class FlowConfig:
         c, h, w = self.in_shape
         if min(c, h, w) < 1 or self.num_blocks < 1 or self.flows_per_block < 1:
             raise ConfigError(f"invalid flow configuration {self}")
-        if self.squeeze and (h % (2**self.num_blocks) or w % (2**self.num_blocks)):
+        # A block count past min(h, w).bit_length() fails the divisibility
+        # test anyway; checking it first keeps 2**num_blocks small.
+        nb = self.num_blocks
+        if self.squeeze and (nb > min(h, w).bit_length() or h % 2**nb or w % 2**nb):
             raise ConfigError(
                 f"squeeze needs H and W divisible by 2^{self.num_blocks}, got {h}x{w}"
             )
+        if not self.ops:
+            raise ConfigError("need at least one candidate operation")
         for op in self.ops:
             if op not in OP_KINDS:
                 raise ConfigError(f"unknown candidate operation {op!r}")
+
+    def to_dict(self) -> dict:
+        """The JSON form of this config: a flat object, topology inlined."""
+        return {
+            "in_shape": list(self.in_shape),
+            "num_blocks": self.num_blocks,
+            "flows_per_block": self.flows_per_block,
+            "squeeze": self.squeeze,
+            "ops": list(self.ops),
+            "num_nodes": self.topology.num_nodes,
+            "edges": [list(e) for e in self.topology.edges],
+            "tie_cells_per_block": self.tie_cells_per_block,
+        }
+
+    @classmethod
+    def from_dict(cls, doc) -> "FlowConfig":
+        """Inverse of to_dict. Only in_shape is required; an absent key takes
+        the dataclass default. Unknown keys and wrongly typed values raise
+        ConfigError."""
+        if not isinstance(doc, dict):
+            raise ConfigError(f"flow config must be an object, got {type(doc).__name__}")
+        if "in_shape" not in doc:
+            raise ConfigError("config is missing flow.in_shape")
+        unknown = sorted(set(doc) - set(_FLOW_FIELDS))
+        if unknown:
+            raise ConfigError(f"unknown flow config key(s) {unknown}")
+        kw = {key: _from_json(doc[key], spec, f"flow.{key}")
+              for key, spec in _FLOW_FIELDS.items() if key in doc}
+        topology = {k: kw.pop(k) for k in ("num_nodes", "edges") if k in kw}
+        return cls(topology=CellTopology(**topology), **kw)
 
     def block_shapes(self) -> list[tuple[int, int, int]]:
         """Working (C, H, W) inside each block, after its squeeze and the
@@ -263,6 +298,35 @@ class FlowConfig:
         return sum(per_block for has in self.coupling_flags() if has)
 
 
+def _from_json(v, spec, where: str):
+    """Check a JSON value against spec: a type, [spec] for a list of any
+    length, or [spec, spec, ...] for a list of exactly that length. Lists
+    come back as tuples."""
+    if isinstance(spec, list):
+        fixed = len(spec) > 1
+        if not isinstance(v, (list, tuple)) or fixed and len(v) != len(spec):
+            size = f" of {len(spec)}" if fixed else ""
+            raise ConfigError(f"{where} must be a list{size}, got {v!r}")
+        specs = spec if fixed else spec * len(v)
+        return tuple(_from_json(x, sp, f"{where}[{i}]") for i, (x, sp) in enumerate(zip(v, specs)))
+    if type(v) is not spec:  # exact, so that JSON true is not the integer 1
+        raise ConfigError(f"{where} must be of type {spec.__name__}, got {v!r}")
+    return v
+
+
+# FlowConfig.to_dict's keys and the JSON shape from_dict expects of each.
+_FLOW_FIELDS = {
+    "in_shape": [int, int, int],
+    "num_blocks": int,
+    "flows_per_block": int,
+    "squeeze": bool,
+    "ops": [str],
+    "num_nodes": int,
+    "edges": [[int, int]],
+    "tie_cells_per_block": bool,
+}
+
+
 class FlowModel:
     """Multi-scale invertible model: per block, squeeze then K flow steps,
     then split half the channels off to the latent (except the last block)."""
@@ -278,18 +342,6 @@ class FlowModel:
                 rng = rng_for(seed, "flow_init", b, k)
                 steps.append(FlowStep(c, config.topology, config.ops, rng, flags[b]))
             self.blocks.append(steps)
-        # Map (block, step) -> cell group index in the arch weight rows.
-        self._step_group: dict[tuple[int, int], int] = {}
-        g = 0
-        for b in range(config.num_blocks):
-            if not flags[b]:
-                continue
-            for k in range(config.flows_per_block):
-                self._step_group[(b, k)] = g
-                if not config.tie_cells_per_block:
-                    g += 1
-            if config.tie_cells_per_block:
-                g += 1
 
     # -- parameter registry -------------------------------------------------
 
@@ -303,20 +355,7 @@ class FlowModel:
     def zero_grad(self) -> None:
         ad.zero_grad([p for _, p in self.parameters()])
 
-    def gradients(self) -> dict[str, np.ndarray]:
-        grads = {}
-        for name, p in self.parameters():
-            if p.grad is None:
-                raise UsageError(f"no gradient for {name}: run forward and backward first")
-            grads[name] = p.grad.copy()
-        return grads
-
     # -- arch plumbing --------------------------------------------------------
-
-    def _rows_for_step(self, b: int, k: int, weights, num_edges: int):
-        group = self._step_group[(b, k)]
-        lo = group * num_edges
-        return [weights[lo + e] for e in range(num_edges)]
 
     def _resolve_weights(self, arch: ArchSample | None, weights_override):
         if weights_override is not None:
@@ -346,6 +385,29 @@ class FlowModel:
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ShapeError(f"expected input (N, {c}, {h}, {w}), got {x.shape}")
 
+    def _walk(self, weights):
+        """The model's layout in forward order, as (kind, block, step index,
+        step, arch weight rows) tuples: per block a "squeeze" (when
+        configured), its "step"s, and a "split" after every block but the
+        last. Each coupled step gets its cell group's rows: one group per
+        block when cells are tied, one per step otherwise."""
+        ne = self.config.topology.num_edges
+        tied = self.config.tie_cells_per_block
+        group = 0
+        for b, steps in enumerate(self.blocks):
+            if self.config.squeeze:
+                yield "squeeze", b, None, None, None
+            for k, step in enumerate(steps):
+                rows = None
+                if step.coupling is not None:
+                    lo = (group if tied else group + k) * ne
+                    rows = [weights[lo + e] for e in range(ne)]
+                yield "step", b, k, step, rows
+            if steps[0].coupling is not None:
+                group += 1 if tied else len(steps)
+            if b < len(self.blocks) - 1:
+                yield "split", b, None, None, None
+
     def forward(self, x, arch: ArchSample | None = None,
                 weights_override=None) -> tuple[list[Tensor], Tensor]:
         """Map data to the latent stack; returns (z list, per-sample log-det)."""
@@ -353,31 +415,37 @@ class FlowModel:
         self._check_input(data)
         weights, mode = self._resolve_weights(arch, weights_override)
         h = x if isinstance(x, Tensor) else Tensor(data)
-        n = data.shape[0]
-        logdet = Tensor(np.zeros(n))
+        return self._forward(h, weights, mode)
+
+    def _forward(self, h: Tensor, weights, mode: str,
+                 initialize: bool = False) -> tuple[list[Tensor], Tensor]:
+        """forward's walk; with `initialize`, each actnorm is first fitted to
+        the activation that reaches it."""
+        logdet = Tensor(np.zeros(h.shape[0]))
         zs: list[Tensor] = []
-        ne = self.config.topology.num_edges
-        for b, steps in enumerate(self.blocks):
-            if self.config.squeeze:
+        for kind, b, k, step, rows in self._walk(weights):
+            if kind == "squeeze":
                 h = _squeeze(h)
-            for k, step in enumerate(steps):
-                try:
-                    h, ld = step.actnorm.forward(h)
-                    logdet = logdet + ld
-                    h, ld = step.inv1x1.forward(h)
-                    logdet = logdet + ld
-                    if step.coupling is not None:
-                        rows = self._rows_for_step(b, k, weights, ne)
-                        h, ld = step.coupling.forward(h, rows, mode)
-                        logdet = logdet + ld
-                except NumericError as exc:
-                    raise NumericError(f"block {b} step {k}: {exc}") from exc
-                if not np.all(np.isfinite(h.data)):
-                    raise NumericError(f"non-finite activations after block {b} step {k}")
-            if b < len(self.blocks) - 1:
+                continue
+            if kind == "split":
                 c_half = h.shape[1] // 2
                 zs.append(h[:, :c_half])
                 h = h[:, c_half:]
+                continue
+            try:
+                if initialize:
+                    step.actnorm.initialize(h.data)
+                h, ld = step.actnorm.forward(h)
+                logdet = logdet + ld
+                h, ld = step.inv1x1.forward(h)
+                logdet = logdet + ld
+                if step.coupling is not None:
+                    h, ld = step.coupling.forward(h, rows, mode)
+                    logdet = logdet + ld
+            except NumericError as exc:
+                raise NumericError(f"block {b} step {k}: {exc}") from exc
+            if not np.all(np.isfinite(h.data)):
+                raise NumericError(f"non-finite activations after block {b} step {k}")
         zs.append(h)
         return zs, logdet
 
@@ -390,22 +458,20 @@ class FlowModel:
             if tuple(z.shape[1:]) != s:
                 raise ShapeError(f"latent shape {z.shape[1:]} does not match {s}")
         weights, mode = self._resolve_weights(arch, None)
-        ne = self.config.topology.num_edges
         h = np.asarray(zs[-1], dtype=np.float64)
-        for b in range(len(self.blocks) - 1, -1, -1):
-            if b < len(self.blocks) - 1:
-                h = np.concatenate([np.asarray(zs[b], dtype=np.float64), h], axis=1)
-            for k in range(len(self.blocks[b]) - 1, -1, -1):
-                step = self.blocks[b][k]
-                if step.coupling is not None:
-                    rows = self._rows_for_step(b, k, weights, ne)
-                    h = step.coupling.inverse(h, rows, mode)
-                h = step.inv1x1.inverse(h)
-                h = step.actnorm.inverse(h)
-                if not np.all(np.isfinite(h)):
-                    raise NumericError(f"non-finite activations inverting block {b} step {k}")
-            if self.config.squeeze:
+        for kind, b, k, step, rows in reversed(list(self._walk(weights))):
+            if kind == "squeeze":
                 h = _unsqueeze_np(h)
+                continue
+            if kind == "split":
+                h = np.concatenate([np.asarray(zs[b], dtype=np.float64), h], axis=1)
+                continue
+            if step.coupling is not None:
+                h = step.coupling.inverse(h, rows, mode)
+            h = step.inv1x1.inverse(h)
+            h = step.actnorm.inverse(h)
+            if not np.all(np.isfinite(h)):
+                raise NumericError(f"non-finite activations inverting block {b} step {k}")
         return h
 
     def log_prob(self, x, arch: ArchSample | None = None, weights_override=None) -> Tensor:
@@ -420,27 +486,15 @@ class FlowModel:
     # -- data-dependent initialization ------------------------------------------
 
     def initialize_actnorm(self, batch: np.ndarray, arch: ArchSample | None = None) -> None:
-        """Initialize every actnorm from this batch, layer by layer."""
+        """Initialize every actnorm from this batch, layer by layer: one
+        forward pass in which each actnorm standardizes what reaches it."""
         batch = np.asarray(batch, dtype=np.float64)
         self._check_input(batch)
         if batch.shape[0] < 2:
             raise ConfigError("actnorm initialization needs a batch of at least 2 samples")
         weights, mode = self._resolve_weights(arch, None)
-        ne = self.config.topology.num_edges
         with ad.no_grad():
-            h = batch
-            for b, steps in enumerate(self.blocks):
-                if self.config.squeeze:
-                    h = _squeeze_np(h)
-                for k, step in enumerate(steps):
-                    step.actnorm.initialize(h)
-                    h = step.actnorm.forward(Tensor(h))[0].data
-                    h = step.inv1x1.forward(Tensor(h))[0].data
-                    if step.coupling is not None:
-                        rows = self._rows_for_step(b, k, weights, ne)
-                        h = step.coupling.forward(Tensor(h), rows, mode)[0].data
-                if b < len(self.blocks) - 1:
-                    h = h[:, h.shape[1] // 2 :]
+            self._forward(Tensor(batch), weights, mode, initialize=True)
 
     @property
     def actnorm_initialized(self) -> bool:
@@ -461,19 +515,11 @@ def backward(model: FlowModel, loss: Tensor, upstream=None) -> dict[str, np.ndar
 # -- squeeze / unsqueeze ----------------------------------------------------
 
 
-def _squeeze(x: Tensor) -> Tensor:
+def _squeeze(x):
+    """Fold each 2x2 spatial patch into channels; x is a Tensor or an array."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ShapeError(f"squeeze needs even spatial dims, got {h}x{w}")
-    return (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, 4 * c, h // 2, w // 2)
-    )
-
-
-def _squeeze_np(x: np.ndarray) -> np.ndarray:
-    n, c, h, w = x.shape
     return (
         x.reshape(n, c, h // 2, 2, w // 2, 2)
         .transpose(0, 1, 3, 5, 2, 4)
@@ -551,7 +597,10 @@ def load_checkpoint(path) -> FlowModel:
     c, h, w, num_blocks, flows = r.unpack("<5I")
     squeeze, tie, _ = r.unpack("<BBH")
     (num_ops,) = r.unpack("<I")
-    ops = tuple(OP_KINDS[b] for b in r.take(num_ops))
+    op_ids = r.take(num_ops)
+    if any(b >= len(OP_KINDS) for b in op_ids):
+        raise UsageError(f"{path}: operation id out of range 0..{len(OP_KINDS) - 1}")
+    ops = tuple(OP_KINDS[b] for b in op_ids)
     num_nodes, num_edges = r.unpack("<2I")
     edges = tuple(tuple(r.unpack("<2I")) for _ in range(num_edges))
     cfg = FlowConfig(
@@ -568,8 +617,13 @@ def load_checkpoint(path) -> FlowModel:
         for step in steps:
             (init_flag,) = r.unpack("<B")
             step.actnorm.initialized = bool(init_flag)
-            step.inv1x1.perm = np.frombuffer(r.take(4 * cb), dtype="<u4").astype(np.int64)
-            step.inv1x1.sign_diag = np.frombuffer(r.take(cb), dtype="<i1").astype(np.float64)
+            perm = np.frombuffer(r.take(4 * cb), dtype="<u4").astype(np.int64)
+            sign = np.frombuffer(r.take(cb), dtype="<i1").astype(np.float64)
+            if not np.array_equal(np.sort(perm), np.arange(cb)):
+                raise UsageError(f"{path}: 1x1 permutation is not a permutation of {cb} channels")
+            if not np.all(np.abs(sign) == 1.0):
+                raise UsageError(f"{path}: 1x1 sign entries must be +1 or -1")
+            step.inv1x1.perm, step.inv1x1.sign_diag = perm, sign
     for name, p in model.parameters():
         raw = r.take(8 * p.data.size)
         p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).copy()

@@ -48,16 +48,16 @@ class CellTopology:
         if self.num_nodes < 2:
             raise ConfigError("cell needs at least an input and an output node")
         seen = set()
-        incoming = {j: 0 for j in range(1, self.num_nodes)}
         for i, j in self.edges:
             if not (0 <= i < j < self.num_nodes):
                 raise ConfigError(f"edge {i}->{j} is not topologically ordered")
             if (i, j) in seen:
                 raise ConfigError(f"duplicate edge {i}->{j}")
             seen.add((i, j))
-            incoming[j] += 1
-        for j, n in incoming.items():
-            if n == 0:
+        targets = {j for _, j in seen}
+        # Stops at the first node with no incoming edge: a huge num_nodes is cheap.
+        for j in range(1, self.num_nodes):
+            if j not in targets:
                 raise ConfigError(f"node {j} has no incoming edge")
 
     @property

@@ -78,8 +78,9 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
               lr_per_param=None) -> None:
     """One bias-corrected Adam update, in place.
 
-    Parameters with a non-finite gradient are left untouched (the skip is
-    counted and logged); their moments do not advance either.
+    A parameter whose gradient is None (not on this step's graph) is left
+    untouched silently. One with a non-finite gradient is left untouched too,
+    and that skip is counted and logged. Neither one's moments advance.
     """
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ConfigError("params, grads, and optimizer state must align")
@@ -88,7 +89,9 @@ def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1
     bc2 = 1.0 - beta2**state.t
     for i, (p, g) in enumerate(zip(params, grads)):
         data = p.data if isinstance(p, Tensor) else p
-        if g is None or not np.all(np.isfinite(g)):
+        if g is None:
+            continue
+        if not np.all(np.isfinite(g)):
             state.skipped += 1
             log.warning("adam: skipping parameter %d with non-finite gradient", i)
             continue

@@ -75,11 +75,7 @@ class WaicReport:
 
 
 def weighted_moments(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise weighted mean and weighted population variance.
-
-    This is the single arithmetic path for WAIC moments; the ensemble module
-    reuses it so both routes agree bit-for-bit.
-    """
+    """Row-wise weighted mean and weighted population variance."""
     mean = values @ weights
     centered = values - mean[:, None]
     var = (centered * centered) @ weights
@@ -208,7 +204,8 @@ def read_report_csv(path) -> WaicReport:
     body = rows[1:]
     if not body:
         raise DataError(f"{path}: empty WAIC report")
-    mean = np.array([float(r[1]) for r in body])
-    var = np.array([float(r[2]) for r in body])
-    score = np.array([float(r[3]) for r in body])
+    try:  # a short row makes the array ragged, and ragged arrays raise ValueError
+        mean, var, score = np.array([[float(v) for v in r[1:4]] for r in body]).T.copy()
+    except ValueError as exc:
+        raise DataError(f"{path}: malformed WAIC report row: {exc}") from exc
     return WaicReport(mean=mean, variance=var, score=score)

@@ -1,7 +1,10 @@
 """Command-line behavior: exit codes, artifacts, manifests, and end-to-end
 reproducibility of the toy pipeline."""
 
+import hashlib
 import json
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -58,8 +61,10 @@ class TestExitCodes:
         assert rc == 2
 
     def test_bad_threads(self, tmp_path):
-        rc = main(["search", "--data", "d.json", "--out-dir", str(tmp_path), "--threads", "0"])
-        assert rc == 2
+        # --threads did nothing and is gone; argparse rejects it as unknown
+        with pytest.raises(SystemExit) as exc:
+            main(["search", "--data", "d.json", "--out-dir", str(tmp_path), "--threads", "0"])
+        assert exc.value.code == 2
 
     def test_invalid_nads_seed(self, tmp_path, monkeypatch, toy_data):
         monkeypatch.setenv("NADS_SEED", "not-a-number")
@@ -68,6 +73,106 @@ class TestExitCodes:
             "--out-dir", str(tmp_path / "out"), "--dry-run",
         ])
         assert rc == 2
+
+
+def _copy_ensemble(toy_pipeline, dst, patch, rehash=True):
+    """Copy the pipeline's ensemble, let `patch` edit member_00's bytes, and
+    record the edited file's hash unless `rehash` is off."""
+    shutil.copytree(toy_pipeline["root"] / "ensemble", dst)
+    member = dst / "member_00.nadsflw"
+    blob = bytearray(member.read_bytes())
+    patch(blob)
+    member.write_bytes(bytes(blob))
+    if rehash:
+        manifest = json.loads((dst / "ensemble.json").read_text())
+        manifest["members"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
+        (dst / "ensemble.json").write_text(json.dumps(manifest))
+    return dst / "ensemble.json"
+
+
+def _step0_perm_offset(blob):
+    """Offset of step 0's 1x1 permutation (see the checkpoint layout in flow_core)."""
+    (num_ops,) = struct.unpack_from("<I", blob, 32)
+    _, num_edges = struct.unpack_from("<2I", blob, 36 + num_ops)
+    return 36 + num_ops + 8 + 8 * num_edges + 1
+
+
+def _set_op_id(blob):
+    blob[36] = 9  # one past the last of the 9 operation kinds
+
+
+def _repeat_perm(blob):
+    struct.pack_into("<2I", blob, _step0_perm_offset(blob), 0, 0)
+
+
+def _bad_sign(blob):
+    blob[_step0_perm_offset(blob) + 8] = 2  # the toy flow's first block has 2 channels
+
+
+def _phi_args(text):
+    def make(tmp_path, toy_pipeline):
+        phi = tmp_path / "phi.json"
+        phi.write_text(text)
+        return ["ensemble", "--profile", "toy2d", "--phi", str(phi),
+                "--data", str(toy_pipeline["data"])]
+    return make
+
+
+def _bad_manifest_args(tmp_path, toy_pipeline):
+    manifest = tmp_path / "data.json"
+    manifest.write_text('{"format": "csv", "splits": ')
+    return ["search", "--profile", "toy2d", "--data", str(manifest), "--dry-run"]
+
+
+def _bad_report_args(tmp_path, toy_pipeline):
+    report = tmp_path / "report.csv"
+    report.write_text("sample_id,mean,variance,waic\n0,-1.0,oops,-1.0\n")
+    good = toy_pipeline["root"] / "score_out" / "waic_report.csv"
+    return ["eval", "--in-report", str(report), "--out-report", str(good)]
+
+
+def _checkpoint_args(patch):
+    def make(tmp_path, toy_pipeline):
+        manifest = _copy_ensemble(toy_pipeline, tmp_path / "ens", patch)
+        return ["score", "--ensemble", str(manifest), "--data", str(toy_pipeline["data"]),
+                "--split", "test"]
+    return make
+
+
+@pytest.mark.parametrize("make_args", [
+    _phi_args("{}"),
+    _phi_args("{not json"),
+    _bad_manifest_args,
+    _bad_report_args,
+    _checkpoint_args(_set_op_id),
+    _checkpoint_args(_repeat_perm),
+    _checkpoint_args(_bad_sign),
+], ids=["phi-empty-object", "phi-not-json", "data-manifest-not-json", "report-non-numeric",
+        "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2"])
+def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
+    argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_tampered_member_checkpoint_refused_before_load(tmp_path, toy_pipeline, capsys,
+                                                        monkeypatch):
+    import nads.ensemble
+
+    def flip(blob):
+        blob[-1] ^= 0x01
+
+    manifest = _copy_ensemble(toy_pipeline, tmp_path / "ens", flip, rehash=False)
+
+    def must_not_load(path):
+        raise AssertionError(f"{path} was loaded before its hash was checked")
+
+    monkeypatch.setattr(nads.ensemble, "load_checkpoint", must_not_load)
+    rc = main(["score", "--ensemble", str(manifest), "--data", str(toy_pipeline["data"]),
+               "--split", "test", "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    assert "member_00.nadsflw" in capsys.readouterr().err
 
 
 class TestDryRun:

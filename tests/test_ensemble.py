@@ -9,11 +9,10 @@ from nads.ensemble import (
     Ensemble,
     EnsembleMember,
     build_ensemble,
-    ensemble_mean_loglik,
-    ensemble_var_loglik,
     ensemble_waic,
     generate_samples,
     load_ensemble,
+    member_logliks,
     normalized_weights,
     save_ensemble,
 )
@@ -48,6 +47,14 @@ def stub_member(lls, weight, arch_op=1):
 def stub_ensemble(columns, weights):
     members = [stub_member(col, w) for col, w in zip(columns, weights)]
     return Ensemble(members)
+
+
+def ensemble_mean_loglik(ens, x):
+    return waic_per_sample(member_logliks(ens, x)).mean
+
+
+def ensemble_var_loglik(ens, x):
+    return waic_per_sample(member_logliks(ens, x)).variance
 
 
 class TestWeights:

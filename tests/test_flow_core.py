@@ -2,10 +2,13 @@
 brute-force log-determinants, exact inverses, density normalization, analytic
 gradients against finite differences, and the checkpoint format."""
 
+import json
 import logging
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nads import autodiff as ad
 from nads.autodiff import Tensor
@@ -19,9 +22,10 @@ from nads.flow_core import (
     backward,
     load_checkpoint,
     save_checkpoint,
-    _squeeze_np,
+    _squeeze,
 )
 from nads.search_space import (
+    OP_KINDS,
     ArchDistribution,
     CellTopology,
     sample_discrete,
@@ -236,7 +240,7 @@ class TestForwardIdentity:
         x = RNG.normal(size=(3, 2, 4, 4))
         zs, logdet = model.forward(x, sample_discrete(uniform_dist(model), 1))
         assert len(zs) == 1
-        np.testing.assert_allclose(zs[0].data, _squeeze_np(x), atol=1e-12)
+        np.testing.assert_allclose(zs[0].data, _squeeze(x), atol=1e-12)
         np.testing.assert_allclose(logdet.data, 0.0, atol=1e-12)
 
     def test_identity_inverse_recovers_and_zero_maps_to_zero(self):
@@ -396,6 +400,37 @@ class TestInvariants:
         recon = model.inverse([z.data for z in zs], arch)
         assert np.abs(recon - x).max() < 1e-5
 
+    def test_bijectivity_untied_cells(self):
+        model = make_model(in_shape=(2, 8, 8), blocks=2, flows=2, tie=False, perturb=0.1,
+                           ops=("identity", "sep_conv_3x3", "zero"), seed=12)
+        arch = sample_discrete(uniform_dist(model), 12)
+        x = RNG.normal(size=(2, 2, 8, 8))
+        model.initialize_actnorm(x, arch)
+        zs, _ = model.forward(x, arch)
+        recon = model.inverse([z.data for z in zs], arch)
+        assert np.abs(recon - x).max() < 1e-5
+
+    @pytest.mark.parametrize("tie,groups", [
+        (True, [0, 0, 1, 1]), (False, [0, 1, 2, 3]),
+    ])
+    def test_walk_assigns_cell_groups(self, tie, groups):
+        model = make_model(in_shape=(2, 4, 4), blocks=2, flows=2, tie=tie)
+        ne = CHAIN.num_edges
+        rows = model.config.num_cell_groups() * ne
+        walk = list(model._walk(np.arange(rows)[:, None]))
+        assert [kind for kind, *_ in walk] == ["squeeze", "step", "step", "split",
+                                                "squeeze", "step", "step"]
+        got = [int(r[0][0]) // ne for kind, _, _, _, r in walk if kind == "step"]
+        assert got == groups
+
+    def test_walk_skips_blocks_without_coupling(self):
+        # the second block holds a single channel, so it has no coupling
+        model = make_model(in_shape=(2, 1, 1), blocks=2, flows=2, squeeze=False, tie=False)
+        walk = list(model._walk(np.arange(2 * CHAIN.num_edges)[:, None]))
+        got = [None if r is None else int(r[0][0]) // CHAIN.num_edges
+               for kind, _, _, _, r in walk if kind == "step"]
+        assert got == [0, 1, None, None]
+
     def test_composed_model_logdet_matches_jacobian(self):
         # total dimension 16; analytic logdet vs the dense FD Jacobian.
         model = make_model(in_shape=(1, 4, 4), blocks=2, flows=1, perturb=0.1, seed=30)
@@ -476,6 +511,77 @@ class TestErrors:
     def test_squeeze_needs_divisible_dims(self):
         with pytest.raises(ConfigError):
             FlowConfig(in_shape=(1, 6, 6), num_blocks=2, flows_per_block=1)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids, max_size=4),
+    max_leaves=12,
+)
+FLOW_KEYS = list(FlowConfig(in_shape=(1, 8, 8)).to_dict())
+
+
+@st.composite
+def flow_configs(draw):
+    blocks = draw(st.integers(1, 3))
+    squeeze = draw(st.booleans())
+    unit = 2**blocks if squeeze else 1
+    num_nodes = draw(st.integers(2, 5))
+    edges = sorted({(i, j) for j in range(1, num_nodes)
+                    for i in draw(st.sets(st.integers(0, j - 1), min_size=1))})
+    return FlowConfig(
+        in_shape=(draw(st.integers(1, 4)), unit * draw(st.integers(1, 4)),
+                  unit * draw(st.integers(1, 4))),
+        num_blocks=blocks,
+        flows_per_block=draw(st.integers(1, 4)),
+        squeeze=squeeze,
+        topology=CellTopology(num_nodes, tuple(edges)),
+        ops=tuple(draw(st.lists(st.sampled_from(OP_KINDS), min_size=1, unique=True))),
+        tie_cells_per_block=draw(st.booleans()),
+    )
+
+
+# Arbitrary objects, and valid configs with arbitrary values written over some keys.
+FLOW_DOCS = st.dictionaries(st.sampled_from(FLOW_KEYS) | st.text(max_size=8), JSON_VALUES,
+                            max_size=9)
+FLOW_DOCS = FLOW_DOCS | st.tuples(flow_configs(), FLOW_DOCS).map(
+    lambda pair: {**pair[0].to_dict(), **pair[1]})
+
+
+class TestConfigCodec:
+    @settings(deadline=None, derandomize=True)
+    @given(flow_configs())
+    def test_json_roundtrip(self, cfg):
+        assert FlowConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(FLOW_DOCS)
+    def test_any_json_object_parses_or_raises_config_error(self, doc):
+        try:
+            cfg = FlowConfig.from_dict(doc)
+        except ConfigError:
+            return
+        assert isinstance(cfg, FlowConfig)
+
+    def test_absent_keys_take_dataclass_defaults(self):
+        assert FlowConfig.from_dict({"in_shape": [1, 8, 8]}) == FlowConfig(in_shape=(1, 8, 8))
+
+    @pytest.mark.parametrize("doc,match", [
+        ({}, "in_shape"),
+        ({"in_shape": [1, 8]}, "list of 3"),
+        ({"in_shape": [1, 8, 8], "num_blocks": True}, "num_blocks"),
+        ({"in_shape": [1, 8, 8], "squeeze": 1}, "squeeze"),
+        ({"in_shape": [1, 8, 8], "edges": [[0, 1, 2]]}, "edges"),
+        ({"in_shape": [1, 8, 8], "num_block": 2}, "unknown"),
+        ({"in_shape": [1, 8, 8], "ops": []}, "at least one"),
+        ({"in_shape": [1, 8, 8], "num_blocks": 10**18}, "divisible"),
+        ({"in_shape": [1, 8, 8], "num_nodes": 10**18}, "no incoming edge"),
+        ([1, 8, 8], "object"),
+    ])
+    def test_malformed_configs(self, doc, match):
+        with pytest.raises(ConfigError, match=match):
+            FlowConfig.from_dict(doc)
 
 
 class TestCheckpoint:

@@ -109,6 +109,20 @@ class TestAdam:
         assert state.skipped == 1
         assert any("non-finite" in r.message for r in caplog.records)
 
+    def test_none_grad_skipped_silently(self, caplog):
+        import logging
+
+        p = np.array([1.0])
+        q = np.array([2.0])
+        state = AdamState.for_params([p, q])
+        with caplog.at_level(logging.WARNING):
+            adam_step([p, q], [None, np.array([1.0])], state, lr=0.1)
+        assert p[0] == 1.0  # untouched
+        assert state.m[0][0] == 0.0 and state.v[0][0] == 0.0
+        assert q[0] != 2.0  # updated
+        assert state.skipped == 0
+        assert not caplog.records
+
     def test_works_on_tensors(self):
         t = Tensor(np.array([1.0]), requires_grad=True)
         state = AdamState.for_params([t])

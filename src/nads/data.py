@@ -43,6 +43,8 @@ class Dataset:
             raise DataError(f"dataset must be a nonempty (N, C, H, W) array, got {self.x.shape}")
         if self.domain not in ("discrete", "continuous"):
             raise DataError(f"unknown domain tag {self.domain!r}")
+        if not np.all(np.isfinite(self.x)):
+            raise DataError(f"dataset holds {int((~np.isfinite(self.x)).sum())} non-finite value(s)")
         if self.domain == "discrete":
             if not np.all(self.x == np.rint(self.x)):
                 raise DataError("discrete dataset holds non-integral values")
@@ -249,15 +251,22 @@ def save_points_csv(path, d: Dataset) -> None:
 
 def load_points_csv(path, name: str = "", split: str = "") -> Dataset:
     with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader]
     if not rows:
         raise DataError(f"{path}: empty CSV")
-    if rows[0] == ["x0", "x1"]:
+    if rows[0][1] == ["x0", "x1"]:
         rows = rows[1:]
     if not rows:
         raise DataError(f"{path}: CSV has a header but no points")
-    pts = np.array([[float(a), float(b)] for a, b in rows])
-    return Dataset(pts.reshape(-1, 1, 1, 2), "continuous", name, split)
+    pts = []
+    for line, row in rows:
+        try:
+            a, b = row
+            pts.append([float(a), float(b)])
+        except ValueError:
+            raise DataError(f"{path}: line {line} is not two numbers: {row!r}") from None
+    return Dataset(np.array(pts).reshape(-1, 1, 1, 2), "continuous", name, split)
 
 
 def load_data_manifest(path) -> dict[str, Dataset]:

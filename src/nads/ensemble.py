@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, NadsError, ShapeError
+from .errors import ConfigError, DataError, NadsError
 from .flow_core import FlowModel, load_checkpoint, save_checkpoint
 from .search_space import (
     ArchDistribution,
@@ -141,14 +141,20 @@ def generate_samples(source, count: int, temperature: float = 1.0, seed: int = 0
 
     c, h, w = members[0].model.config.in_shape
     out = np.empty((count, c, h, w))
+    # Latents are drawn one sample at a time in sample order, so the values do
+    # not depend on how samples are grouped; each member then inverts all of
+    # its samples in one call.
     rng_z = rng_for(seed, "latents")
-    for i in range(count):
-        mem = members[assignment[i]]
-        zs = [
-            temperature * rng_z.normal(size=(1,) + shape)
-            for shape in mem.model.config.latent_shapes()
-        ]
-        out[i] = mem.model.inverse(zs, mem.arch)[0]
+    draws = [
+        [temperature * rng_z.normal(size=(1,) + shape)
+         for shape in members[j].model.config.latent_shapes()]
+        for j in assignment
+    ]
+    for j, mem in enumerate(members):
+        idx = np.flatnonzero(assignment == j)
+        if len(idx):
+            zs = [np.concatenate(level) for level in zip(*(draws[i] for i in idx))]
+            out[idx] = mem.model.inverse(zs, mem.arch)
     if clip_range is not None:
         out = np.clip(out, clip_range[0], clip_range[1])
     return out
@@ -210,9 +216,11 @@ def load_ensemble(manifest_path) -> Ensemble:
         model = load_checkpoint(ckpt)
         rows = model.config.num_cell_groups() * model.config.topology.num_edges
         k = len(model.config.ops)
+        if not (isinstance(chosen, list) and len(chosen) == rows
+                and all(type(op) is int and 0 <= op < k for op in chosen)):
+            raise DataError(f"{path}: arch_ops of {name} must be {rows} integers in "
+                            f"[0, {k}), got {chosen!r}")
         w = np.zeros((rows, k))
-        if len(chosen) != rows:
-            raise ShapeError(f"manifest lists {len(chosen)} edges, model expects {rows}")
         w[np.arange(rows), chosen] = 1.0
         members.append(EnsembleMember(ArchSample("discrete", w), model,
                                       raw_log_mass=raw_log_mass, weight=weight))

@@ -358,6 +358,10 @@ class FlowModel:
     # -- arch plumbing --------------------------------------------------------
 
     def _resolve_weights(self, arch: ArchSample | None, weights_override):
+        """The per-edge weight rows and the cell mode. A relaxed override of
+        shape (M, rows, K) holds M architecture samples; it comes back as
+        (rows, M, K), so each edge's row weights the M row groups of the
+        batch. A 2-D (rows, K) override is the case M = 1."""
         if weights_override is not None:
             mode = "relaxed"
             source = weights_override
@@ -370,13 +374,12 @@ class FlowModel:
             rows = self.config.num_cell_groups() * self.config.topology.num_edges
             mode = "relaxed"
             source = np.full((rows, k), 1.0 / k)
-        expected = self.config.num_cell_groups() * self.config.topology.num_edges
-        if source.shape[0] != expected or source.shape[1] != len(self.config.ops):
-            raise ShapeError(
-                f"architecture weights {source.shape} do not match "
-                f"({expected}, {len(self.config.ops)})"
-            )
-        return source, mode
+        expected = (self.config.num_cell_groups() * self.config.topology.num_edges,
+                    len(self.config.ops))
+        stacked = mode == "relaxed" and source.ndim == 3
+        if source.shape[-2:] != expected or source.ndim != (3 if stacked else 2):
+            raise ShapeError(f"architecture weights {source.shape} do not match {expected}")
+        return (source.transpose(1, 0, 2) if stacked else source), mode
 
     # -- core transforms ---------------------------------------------------
 
@@ -475,7 +478,10 @@ class FlowModel:
         return h
 
     def log_prob(self, x, arch: ArchSample | None = None, weights_override=None) -> Tensor:
-        """Per-sample log-density under the standard-normal latent prior."""
+        """Per-sample log-density under the standard-normal latent prior.
+
+        With (M, rows, K) relaxed weights, `x` holds M equal row groups and
+        group j is scored under architecture sample j."""
         zs, logdet = self.forward(x, arch, weights_override)
         total = logdet
         for z in zs:

@@ -146,11 +146,12 @@ def relaxed_weights(logits: Tensor, noise: np.ndarray, tau: float) -> Tensor:
 
     Differentiable w.r.t. `logits` at fixed noise; log-probabilities are
     clamped at LOG_PROB_FLOOR so near-zero probabilities keep finite values.
+    `noise` may carry leading axes, e.g. (M, rows, K) for M samples at once.
     """
     if not tau > 0:
         raise ConfigError(f"temperature must be positive, got {tau}")
     log_phi = ad.log_softmax(logits, axis=1).clamp_min(LOG_PROB_FLOOR)
-    return ad.softmax((log_phi + Tensor(noise)) * (1.0 / tau), axis=1)
+    return ad.softmax((log_phi + Tensor(noise)) * (1.0 / tau), axis=-1)
 
 
 def sample_relaxed(dist: ArchDistribution, seed: int) -> ArchSample:
@@ -247,8 +248,10 @@ class Cell:
 
     def forward(self, h: Tensor, edge_weights, mode: str) -> tuple[Tensor, Tensor]:
         """Evaluate the DAG. `edge_weights` is indexable per edge: either
-        one-hot numpy rows (discrete) or rows of a live weight Tensor
-        (relaxed), each of length len(ops)."""
+        one-hot numpy rows (discrete) or relaxed weights, each of length
+        len(ops) or, for M architecture samples at once, of shape
+        (M, len(ops)); sample j then weights the j-th of M equal row groups
+        of `h`."""
         if h.shape[1] != self.in_channels:
             raise ShapeError(
                 f"cell expects {self.in_channels} conditioning channels, got {h.shape[1]}"
@@ -282,15 +285,20 @@ class Cell:
             w = np.asarray(weights if not isinstance(weights, Tensor) else weights.data)
             op = self.ops[int(np.argmax(w))]
             return self._apply_op(op, per_op[op], src)
+        w = Tensor._lift(weights)
+        m = w.shape[0] if w.ndim == 2 else 1
+        if src.shape[0] % m:
+            raise ShapeError(f"{src.shape[0]} rows do not split into {m} weight groups")
+        groups = (m, src.shape[0] // m) + src.shape[1:]
+        cols = w.reshape(m, 1, 1, 1, 1, -1)  # one weight per op and row group
         acc: Tensor | None = None
         for k, op in enumerate(self.ops):
             out = self._apply_op(op, per_op[op], src)
             if out is None:
                 continue  # the zero op contributes nothing in any mixture
-            wk = weights[k] if isinstance(weights, Tensor) else Tensor(np.float64(weights[k]))
-            term = out * wk
+            term = out.reshape(groups) * cols[..., k]
             acc = term if acc is None else acc + term
-        return acc
+        return None if acc is None else acc.reshape(src.shape)
 
 
 def _op_param_shapes(op: str, channels: int) -> list[tuple[int, ...]]:

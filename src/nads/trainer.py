@@ -8,8 +8,10 @@ from a checkpoint without changing the trajectory.
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import logging
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,6 +225,32 @@ def _draw_batch(x: np.ndarray, batch_size: int, seed: int, step: int) -> np.ndar
     return x[idx]
 
 
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic collector off inside one training step. The tape
+    holds no reference cycles, so a collection there frees nothing."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _search_loss(model: FlowModel, logits: Tensor, batch: np.ndarray, tau: float,
+                 num_samples: int, seed: int, step: int) -> Tensor:
+    """Negative WAIC of the batch over `num_samples` relaxed architectures,
+    in one forward: the batch is tiled once per sample and row group j is
+    scored under the weights drawn from Gumbel noise (seed, step, j)."""
+    noise = np.stack([gumbel_noise(logits.shape, child_seed(seed, "gumbel", step, j))
+                      for j in range(num_samples)])
+    weights = relaxed_weights(logits, noise, tau)
+    tiled = np.tile(batch, (num_samples, 1, 1, 1))
+    ll = model.log_prob(tiled, weights_override=weights).reshape(num_samples, -1)
+    return waic_mc_objective([ll[j] for j in range(num_samples)])
+
+
 def _snapshot(tensors: list[Tensor]) -> list[np.ndarray]:
     return [t.data.copy() for t in tensors]
 
@@ -275,30 +303,27 @@ def search(data: np.ndarray, config: SearchConfig, state: "SearchState | None" =
         tau = anneal_tau(config.tau, step)
         batch = _draw_batch(x, config.batch_size, config.seed, step)
         snapshot = _snapshot(params)
+        with _gc_paused():
+            try:
+                loss = _search_loss(model, logits, batch, tau, config.num_arch_samples,
+                                    config.seed, step)
+                diverged = not np.isfinite(loss.data)
+            except NumericError:
+                diverged = True
+            if diverged:
+                _restore(params, snapshot)
+                halted_at = step
+                log.error("search: non-finite loss at step %d; halting with last-good parameters",
+                          step)
+                break
 
-        try:
-            cols = []
-            for j in range(config.num_arch_samples):
-                noise = gumbel_noise(logits.shape, child_seed(config.seed, "gumbel", step, j))
-                b = relaxed_weights(logits, noise, tau)
-                cols.append(model.log_prob(batch, weights_override=b))
-            loss = waic_mc_objective(cols)
-            diverged = not np.isfinite(loss.data)
-        except NumericError:
-            diverged = True
-        if diverged:
-            _restore(params, snapshot)
-            halted_at = step
-            log.error("search: non-finite loss at step %d; halting with last-good parameters", step)
-            break
-
-        model.zero_grad()
-        logits.grad = None
-        loss.backward()
-        grads = [p.grad for p in params]
-        norm = clip_gradients(grads, config.grad_clip)
-        adam_step(params, grads, adam, config.learning_rate,
-                  config.beta1, config.beta2, config.eps, lr_per_param=lrs)
+            model.zero_grad()
+            logits.grad = None
+            loss.backward()
+            grads = [p.grad for p in params]
+            norm = clip_gradients(grads, config.grad_clip)
+            adam_step(params, grads, adam, config.learning_rate,
+                      config.beta1, config.beta2, config.eps, lr_per_param=lrs)
         trace.append(TraceRow(step, float(loss.data), tau, norm))
 
     final_tau = anneal_tau(config.tau, max(end - 1, 0))
@@ -408,19 +433,21 @@ def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig,
     for step in range(config.iterations):
         batch = _draw_batch(x, config.batch_size, config.seed, step)
         snapshot = _snapshot(params)
-        try:
-            loss = -model.log_prob(batch, arch).mean()
-            diverged = not np.isfinite(loss.data)
-        except NumericError:
-            diverged = True
-        if diverged:
-            _restore(params, snapshot)
-            log.error("retrain: non-finite loss at step %d; halting with last-good parameters", step)
-            break
-        model.zero_grad()
-        loss.backward()
-        grads = [p.grad for p in params]
-        clip_gradients(grads, config.grad_clip)
-        adam_step(params, grads, adam, config.learning_rate,
-                  config.beta1, config.beta2, config.eps)
+        with _gc_paused():
+            try:
+                loss = -model.log_prob(batch, arch).mean()
+                diverged = not np.isfinite(loss.data)
+            except NumericError:
+                diverged = True
+            if diverged:
+                _restore(params, snapshot)
+                log.error("retrain: non-finite loss at step %d; halting with last-good parameters",
+                          step)
+                break
+            model.zero_grad()
+            loss.backward()
+            grads = [p.grad for p in params]
+            clip_gradients(grads, config.grad_clip)
+            adam_step(params, grads, adam, config.learning_rate,
+                      config.beta1, config.beta2, config.eps)
     return model

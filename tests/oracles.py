@@ -195,3 +195,34 @@ def weighted_moments_bruteforce(values, weights):
         mean[i] = mu
         var[i] = sum(weights[j] * (values[i, j] - mu) ** 2 for j in range(m))
     return mean, var
+
+
+def per_sample_search_loss(model, logits, batch, noises, tau):
+    """Negative WAIC of one search step written as one forward pass per
+    architecture sample: noise j gives relaxed weights j, which score the
+    whole batch as one log-likelihood column. Each pass is the model's
+    single-sample case; the folded step under test runs all M samples as
+    row groups of one batch instead."""
+    from nads.search_space import relaxed_weights
+    from nads.waic import waic_mc_objective
+
+    cols = [model.log_prob(batch, weights_override=relaxed_weights(logits, noise, tau))
+            for noise in noises]
+    return waic_mc_objective(cols)
+
+
+def per_sample_generate(ens, count, temperature, seed):
+    """generate_samples for an Ensemble written as one inverse per sample:
+    the member choices and latents come from the same seeded streams, drawn
+    in sample order."""
+    from nads.seeding import rng_for
+
+    members = ens.members
+    assignment = rng_for(seed, "member_choice").choice(len(members), size=count, p=ens.weights)
+    rng_z = rng_for(seed, "latents")
+    out = []
+    for j in assignment:
+        model, arch = members[j].model, members[j].arch
+        zs = [temperature * rng_z.normal(size=(1,) + shape) for shape in model.config.latent_shapes()]
+        out.append(model.inverse(zs, arch)[0])
+    return np.stack(out)

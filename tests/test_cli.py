@@ -131,6 +131,36 @@ def _bad_report_args(tmp_path, toy_pipeline):
     return ["eval", "--in-report", str(report), "--out-report", str(good)]
 
 
+def _score_csv_args(text):
+    def make(tmp_path, toy_pipeline):
+        points = tmp_path / "points.csv"
+        points.write_text(text)
+        return ["score", "--ensemble", str(toy_pipeline["root"] / "ensemble" / "ensemble.json"),
+                "--data", str(points)]
+    return make
+
+
+def _search_csv_args(text):
+    def make(tmp_path, toy_pipeline):
+        (tmp_path / "train.csv").write_text(text)
+        manifest = tmp_path / "data.json"
+        manifest.write_text('{"format": "csv", "splits": {"train": "train.csv"}}')
+        return ["search", "--profile", "toy2d", "--data", str(manifest)]
+    return make
+
+
+def _arch_op_args(op):
+    def make(tmp_path, toy_pipeline):
+        dst = tmp_path / "ens"
+        shutil.copytree(toy_pipeline["root"] / "ensemble", dst)
+        manifest = json.loads((dst / "ensemble.json").read_text())
+        manifest["members"][0]["arch_ops"][0] = op
+        (dst / "ensemble.json").write_text(json.dumps(manifest))
+        return ["score", "--ensemble", str(dst / "ensemble.json"),
+                "--data", str(toy_pipeline["data"]), "--split", "test"]
+    return make
+
+
 def _checkpoint_args(patch):
     def make(tmp_path, toy_pipeline):
         manifest = _copy_ensemble(toy_pipeline, tmp_path / "ens", patch)
@@ -147,8 +177,16 @@ def _checkpoint_args(patch):
     _checkpoint_args(_set_op_id),
     _checkpoint_args(_repeat_perm),
     _checkpoint_args(_bad_sign),
+    _arch_op_args(2),
+    _arch_op_args(-1),
+    _score_csv_args("x0,x1\n1.0,2.0\n3.0\n"),
+    _score_csv_args("x0,x1\n1.0,two\n"),
+    _search_csv_args("x0,x1\n1.0,2.0\nnan,0.5\n"),
+    _search_csv_args("x0,x1\n1.0,inf\n0.0,0.5\n"),
 ], ids=["phi-empty-object", "phi-not-json", "data-manifest-not-json", "report-non-numeric",
-        "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2"])
+        "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2",
+        "arch-op-past-menu", "arch-op-negative", "points-ragged-row", "points-non-numeric",
+        "train-nan", "train-inf"])
 def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
     argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2

@@ -85,6 +85,13 @@ class TestDatasetValidation:
         with pytest.raises(DataError):
             Dataset(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        x = np.zeros((3, 2, 1, 1))
+        x[1, 0] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            Dataset(x)
+
     def test_dims(self):
         d = Dataset(np.zeros((3, 2, 4, 4)))
         assert d.dims == 32
@@ -240,6 +247,18 @@ class TestCsvAndManifest:
         path = tmp_path / "empty.csv"
         path.write_text("x0,x1\n")
         with pytest.raises(DataError):
+            load_points_csv(path)
+
+    @pytest.mark.parametrize("body, line", [
+        ("x0,x1\n1.0,2.0\n3.0\n", 3),
+        ("1.0,2.0\n3.0,4.0,5.0\n", 2),
+        ("x0,x1\n1.0,oops\n", 2),
+        ("x0,x1\n1.0,2.0\n\n", 3),
+    ], ids=["short-row", "long-row", "non-numeric", "blank-line"])
+    def test_malformed_row_names_its_line(self, tmp_path, body, line):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match=f"line {line} "):
             load_points_csv(path)
 
     def test_manifest_loads_splits(self, tmp_path):

@@ -1,6 +1,8 @@
 """Posterior-weighted ensemble arithmetic, cross-checked bit-for-bit against
 the WAIC module, plus building/serialization/generation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,11 +18,13 @@ from nads.ensemble import (
     normalized_weights,
     save_ensemble,
 )
-from nads.errors import ConfigError
+from nads.errors import ConfigError, DataError
 from nads.flow_core import FlowConfig, FlowModel
-from nads.search_space import ArchDistribution, ArchSample, CellTopology
+from nads.search_space import ArchDistribution, ArchSample, CellTopology, sample_discrete
 from nads.trainer import RetrainConfig
 from nads.waic import LogLikMatrix, waic_per_sample
+
+from oracles import per_sample_generate
 
 CHAIN = CellTopology(3, ((0, 1), (1, 2)))
 TOY_FLOW = FlowConfig(in_shape=(2, 1, 1), num_blocks=1, flows_per_block=2, squeeze=False,
@@ -211,6 +215,25 @@ class TestGenerate:
         assert batch.shape == (5, 2, 1, 1)
         assert batch.min() >= -1.0 and batch.max() <= 1.0
 
+    def test_batched_inverse_matches_per_sample(self):
+        # Members invert all their samples in one call; the result must match
+        # one inverse per sample on the same latents.
+        flow = FlowConfig(in_shape=(1, 8, 8), num_blocks=2, flows_per_block=2)
+        dist = ArchDistribution.uniform(flow.ops, flow.topology, flow.num_cell_groups())
+        rng = np.random.default_rng(4)
+        members = []
+        for j in range(3):
+            model = FlowModel(flow, seed=j)
+            for _, p in model.parameters():
+                p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
+            arch = sample_discrete(dist, j)
+            model.initialize_actnorm(rng.random((4, 1, 8, 8)), arch)
+            members.append(EnsembleMember(arch, model, raw_log_mass=0.0, weight=1.0 / 3.0))
+        ens = Ensemble(members)
+        batched = generate_samples(ens, count=12, temperature=0.7, seed=5)
+        looped = per_sample_generate(ens, count=12, temperature=0.7, seed=5)
+        assert np.abs(batched - looped).max() <= 1e-10 * np.abs(looped).max()
+
     def test_bad_args(self):
         ens = self.build_tiny()
         with pytest.raises(ConfigError):
@@ -233,6 +256,20 @@ class TestManifest:
         np.testing.assert_array_equal(ensemble_waic(loaded, x), ensemble_waic(ens, x))
         for mem, orig in zip(loaded.members, ens.members):
             np.testing.assert_array_equal(mem.arch.weights, orig.arch.weights)
+
+    @pytest.mark.parametrize("op", [2, -1, 1.0, True], ids=["past-menu", "negative",
+                                                            "float", "bool"])
+    def test_arch_op_outside_menu_rejected(self, tmp_path, op):
+        data = mixture_data(150)
+        dist = ArchDistribution.uniform(("zero", "identity"), CHAIN, 1)
+        cfg = RetrainConfig(flow=TOY_FLOW, iterations=2, learning_rate=1e-2,
+                            batch_size=16, ensemble_size=1, seed=6)
+        manifest = save_ensemble(build_ensemble(dist, data, cfg, seed=10), tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["members"][0]["arch_ops"][0] = op
+        manifest.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="arch_ops"):
+            load_ensemble(manifest)
 
     def test_missing_member_checkpoint(self, tmp_path):
         data = mixture_data(150)

@@ -1,6 +1,8 @@
 """Optimizer identities, temperature schedules, search/retrain determinism,
 checkpoint-resume trajectories, and the 2-op toy selection dynamics."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,16 @@ from nads.autodiff import Tensor
 from nads.data import SyntheticSpec, make_synthetic
 from nads.errors import ConfigError
 from nads.flow_core import FlowConfig, FlowModel
-from nads.search_space import ArchSample, CellTopology
+from nads.search_space import (
+    ArchDistribution,
+    ArchSample,
+    CellTopology,
+    gumbel_noise,
+    sample_discrete,
+)
+from nads.seeding import child_seed
 from nads.trainer import (
+    _search_loss,
     AdamState,
     RetrainConfig,
     SearchConfig,
@@ -25,11 +35,12 @@ from nads.trainer import (
 )
 from nads.data import bits_per_dim
 
-from oracles import reference_adam
+from oracles import per_sample_search_loss, reference_adam
 
 CHAIN = CellTopology(3, ((0, 1), (1, 2)))
 TOY_FLOW = FlowConfig(in_shape=(2, 1, 1), num_blocks=1, flows_per_block=4, squeeze=False,
                       topology=CHAIN, ops=("zero", "identity"))
+DESK_FLOW = FlowConfig(in_shape=(1, 8, 8), num_blocks=2, flows_per_block=4)
 
 
 def mixture_data(count=2000, seed=5):
@@ -227,6 +238,61 @@ class TestSearch:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ConfigError):
             search(np.zeros((0, 2, 1, 1)), toy_search_config())
+
+
+class TestFoldedSearchStep:
+    """A search step scores its M architecture samples as one M*B-row batch;
+    it must match one forward pass per sample in the loss and every gradient."""
+
+    @pytest.mark.parametrize("flow, batch_shape", [
+        (DESK_FLOW, (4, 1, 8, 8)),
+        (TOY_FLOW, (64, 2, 1, 1)),
+    ], ids=["desk", "toy2d"])
+    def test_matches_per_sample_loop(self, flow, batch_shape):
+        rng = np.random.default_rng(11)
+        model = FlowModel(flow, seed=3)
+        for _, p in model.parameters():
+            p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
+        batch = rng.normal(0.5, 0.3, size=batch_shape)
+        model.initialize_actnorm(batch)
+        rows = flow.num_cell_groups() * flow.topology.num_edges
+        logits = Tensor(rng.normal(0.0, 0.5, (rows, len(flow.ops))), requires_grad=True)
+        params = [p for _, p in model.parameters()] + [logits]
+        m, seed, step, tau = 4, 5, 2, 1.5
+
+        def loss_and_grads(loss):
+            model.zero_grad()
+            logits.grad = None
+            loss.backward()
+            return loss.item(), [p.grad for p in params]
+
+        folded, folded_grads = loss_and_grads(_search_loss(model, logits, batch, tau, m, seed, step))
+        noises = [gumbel_noise(logits.shape, child_seed(seed, "gumbel", step, j)) for j in range(m)]
+        looped, looped_grads = loss_and_grads(per_sample_search_loss(model, logits, batch,
+                                                                     noises, tau))
+        assert abs(folded - looped) <= 1e-12 * abs(looped)
+        for (name, _), a, b in zip(model.parameters() + [("phi/logits", logits)],
+                                   folded_grads, looped_grads):
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), name
+
+
+def test_steps_leave_no_cyclic_garbage():
+    # Training steps run with the cyclic collector paused, which is only
+    # safe while a step creates no reference cycles.
+    data = np.random.default_rng(0).random((8, 1, 8, 8))
+    dist = ArchDistribution.uniform(DESK_FLOW.ops, DESK_FLOW.topology,
+                                    DESK_FLOW.num_cell_groups())
+    arch = sample_discrete(dist, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        search(data, SearchConfig(flow=DESK_FLOW, iterations=1))
+        retrain(arch, data, RetrainConfig(flow=DESK_FLOW, iterations=1))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestRetrain:

@@ -38,16 +38,10 @@ from .ensemble import (
     save_ensemble,
 )
 from .errors import ConfigError, DataError, NadsError, NumericError
-from .flow_core import FlowConfig, save_checkpoint
+from .flow_core import FlowConfig, decode_config, decode_value, save_checkpoint
 from .ood_eval import ScoredSets, evaluate, write_report_files
 from .search_space import ArchDistribution, CellTopology, serialize_architecture
-from .trainer import (
-    RetrainConfig,
-    SearchConfig,
-    TauSchedule,
-    search,
-    write_trace_csv,
-)
+from .trainer import RetrainConfig, SearchConfig, search, write_trace_csv
 from .waic import read_report_csv, waic_per_sample, write_loglik_csv, write_report_csv
 from .seeding import child_seed
 
@@ -114,9 +108,14 @@ def resolve_config(args) -> dict:
         if not p.exists():
             raise ConfigError(f"config file {p} not found")
         try:
-            doc = _deep_merge(doc, json.loads(p.read_text()))
-        except json.JSONDecodeError as exc:
+            loaded = json.loads(p.read_text())
+        except ValueError as exc:  # also undecodable bytes
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise ConfigError(
+                f"config file {p} must hold a JSON object, got {type(loaded).__name__}"
+            )
+        doc = _deep_merge(doc, loaded)
     if not doc:
         doc = dict(PROFILES["desk"])
     return doc
@@ -124,9 +123,9 @@ def resolve_config(args) -> dict:
 
 def resolve_seed(args, doc: dict) -> int:
     if getattr(args, "seed", None) is not None:
-        return int(args.seed)
+        return args.seed
     if "seed" in doc:
-        return int(doc["seed"])
+        return decode_value(doc["seed"], int, "seed")
     env = os.environ.get("NADS_SEED")
     if env is not None:
         try:
@@ -137,64 +136,30 @@ def resolve_seed(args, doc: dict) -> int:
 
 
 def flow_config_from(doc: dict) -> FlowConfig:
-    return FlowConfig.from_dict(doc.get("flow", {}))
+    return FlowConfig.from_dict(doc["flow"] if "flow" in doc else {})
 
 
-def tau_schedule_from(doc: dict) -> TauSchedule:
-    t = doc or {}
-    return TauSchedule(
-        kind=t.get("kind", "constant"),
-        tau0=float(t.get("tau0", 1.5)),
-        tau_min=float(t.get("tau_min", 0.1)),
-        steps=int(t.get("steps", 1)),
-        gamma=float(t.get("gamma", 0.999)),
-    )
+def _decode_section(cls, doc: dict, name: str, seed: int, args, flags):
+    """Decode section `name` of `doc` into the config dataclass `cls`. Each
+    (flag, key) CLI flag given in `args` overrides the section's key; the
+    flow and the seed come from the rest of the configuration."""
+    section = doc[name] if name in doc else {}
+    if isinstance(section, dict):  # anything else is decode_config's error to report
+        section = {**section, **{key: getattr(args, flag) for flag, key in flags
+                                 if getattr(args, flag, None) is not None}}
+    return decode_config(cls, section, name, flow=flow_config_from(doc), seed=seed)
 
 
 def search_config_from(doc: dict, seed: int, args) -> SearchConfig:
-    s = dict(doc.get("search", {}))
-    for flag, key in [("iterations", "iterations"), ("learning_rate", "learning_rate"),
-                      ("batch_size", "batch_size"), ("arch_samples", "num_arch_samples")]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            s[key] = v
-    return SearchConfig(
-        flow=flow_config_from(doc),
-        learning_rate=float(s.get("learning_rate", 1e-5)),
-        batch_size=int(s.get("batch_size", 4)),
-        iterations=int(s.get("iterations", 10_000)),
-        num_arch_samples=int(s.get("num_arch_samples", 4)),
-        tau=tau_schedule_from(s.get("tau", {})),
-        beta1=float(s.get("beta1", 0.9)),
-        beta2=float(s.get("beta2", 0.999)),
-        eps=float(s.get("eps", 1e-8)),
-        seed=seed,
-        grad_clip=float(s.get("grad_clip", 50.0)),
-        phi_learning_rate=(
-            float(s["phi_learning_rate"]) if s.get("phi_learning_rate") is not None else None
-        ),
-    )
+    return _decode_section(SearchConfig, doc, "search", seed, args,
+                           [("iterations", "iterations"), ("learning_rate", "learning_rate"),
+                            ("batch_size", "batch_size"), ("arch_samples", "num_arch_samples")])
 
 
 def retrain_config_from(doc: dict, seed: int, args) -> RetrainConfig:
-    r = dict(doc.get("retrain", {}))
-    for flag, key in [("iterations", "iterations"), ("learning_rate", "learning_rate"),
-                      ("batch_size", "batch_size"), ("members", "ensemble_size")]:
-        v = getattr(args, flag, None)
-        if v is not None:
-            r[key] = v
-    return RetrainConfig(
-        flow=flow_config_from(doc),
-        iterations=int(r.get("iterations", 150_000)),
-        learning_rate=float(r.get("learning_rate", 1e-5)),
-        batch_size=int(r.get("batch_size", 4)),
-        ensemble_size=int(r.get("ensemble_size", 5)),
-        beta1=float(r.get("beta1", 0.9)),
-        beta2=float(r.get("beta2", 0.999)),
-        eps=float(r.get("eps", 1e-8)),
-        seed=seed,
-        grad_clip=float(r.get("grad_clip", 50.0)),
-    )
+    return _decode_section(RetrainConfig, doc, "retrain", seed, args,
+                           [("iterations", "iterations"), ("learning_rate", "learning_rate"),
+                            ("batch_size", "batch_size"), ("members", "ensemble_size")])
 
 
 # -- shared plumbing ------------------------------------------------------------------

@@ -9,8 +9,10 @@ parameter); the inverse path is plain numpy.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import struct
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -251,20 +253,14 @@ class FlowConfig:
 
     @classmethod
     def from_dict(cls, doc) -> "FlowConfig":
-        """Inverse of to_dict. Only in_shape is required; an absent key takes
-        the dataclass default. Unknown keys and wrongly typed values raise
-        ConfigError."""
+        """Inverse of to_dict: decode_config, with the topology's num_nodes
+        and edges inlined in the object. Only in_shape is required."""
         if not isinstance(doc, dict):
             raise ConfigError(f"flow config must be an object, got {type(doc).__name__}")
-        if "in_shape" not in doc:
-            raise ConfigError("config is missing flow.in_shape")
-        unknown = sorted(set(doc) - set(_FLOW_FIELDS))
-        if unknown:
-            raise ConfigError(f"unknown flow config key(s) {unknown}")
-        kw = {key: _from_json(doc[key], spec, f"flow.{key}")
-              for key, spec in _FLOW_FIELDS.items() if key in doc}
-        topology = {k: kw.pop(k) for k in ("num_nodes", "edges") if k in kw}
-        return cls(topology=CellTopology(**topology), **kw)
+        inlined = {k: doc[k] for k in ("num_nodes", "edges") if k in doc}
+        rest = {k: v for k, v in doc.items() if k not in inlined}
+        return decode_config(cls, rest, "flow",
+                             topology=decode_config(CellTopology, inlined, "flow"))
 
     def block_shapes(self) -> list[tuple[int, int, int]]:
         """Working (C, H, W) inside each block, after its squeeze and the
@@ -298,33 +294,59 @@ class FlowConfig:
         return sum(per_block for has in self.coupling_flags() if has)
 
 
-def _from_json(v, spec, where: str):
-    """Check a JSON value against spec: a type, [spec] for a list of any
-    length, or [spec, spec, ...] for a list of exactly that length. Lists
-    come back as tuples."""
-    if isinstance(spec, list):
-        fixed = len(spec) > 1
-        if not isinstance(v, (list, tuple)) or fixed and len(v) != len(spec):
-            size = f" of {len(spec)}" if fixed else ""
+def decode_config(cls, doc, where: str, **given):
+    """Build the config dataclass `cls` from the JSON object `doc`.
+
+    Each key names a field, and the field's annotation gives the JSON type
+    of its value (see decode_value). An absent key takes the dataclass
+    default. The fields in `given` come from the caller, so `doc` may not
+    set them. Unknown keys, missing required keys and wrongly typed values
+    raise ConfigError; `where` names the section in its message."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} config must be an object, got {type(doc).__name__}")
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    unknown = sorted(set(doc) - {f.name for f in fields})
+    if unknown:
+        raise ConfigError(f"unknown {where} config key(s) {unknown}")
+    hints = typing.get_type_hints(cls)
+    kw = {}
+    for f in fields:
+        if f.name in doc:
+            kw[f.name] = decode_value(doc[f.name], hints[f.name], f"{where}.{f.name}")
+        elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise ConfigError(f"config is missing {where}.{f.name}")
+    return cls(**kw, **given)
+
+
+def decode_value(v, hint, where: str):
+    """Check a JSON value against a field annotation and convert it: an
+    object to a nested config dataclass, a list to a tuple (of fixed length,
+    or of any length for tuple[X, ...]), null or X to X | None, and any JSON
+    number to a float. Other types must match exactly, so that JSON true is
+    not the integer 1 and 2.0 is not 2."""
+    if dataclasses.is_dataclass(hint):
+        return decode_config(hint, v, where)
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        if v is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+        return decode_value(v, hint, where)
+    if typing.get_origin(hint) is tuple:
+        fixed = args[-1] is not Ellipsis
+        if not isinstance(v, (list, tuple)) or fixed and len(v) != len(args):
+            size = f" of {len(args)}" if fixed else ""
             raise ConfigError(f"{where} must be a list{size}, got {v!r}")
-        specs = spec if fixed else spec * len(v)
-        return tuple(_from_json(x, sp, f"{where}[{i}]") for i, (x, sp) in enumerate(zip(v, specs)))
-    if type(v) is not spec:  # exact, so that JSON true is not the integer 1
-        raise ConfigError(f"{where} must be of type {spec.__name__}, got {v!r}")
+        hints = args if fixed else args[:1] * len(v)
+        return tuple(decode_value(x, h, f"{where}[{i}]") for i, (x, h) in enumerate(zip(v, hints)))
+    if hint is float and type(v) is int:
+        try:
+            return float(v)
+        except OverflowError as exc:
+            raise ConfigError(f"{where} is out of the float range, got {v!r}") from exc
+    if type(v) is not hint:  # exact, so that JSON true is not the integer 1
+        raise ConfigError(f"{where} must be of type {hint.__name__}, got {v!r}")
     return v
-
-
-# FlowConfig.to_dict's keys and the JSON shape from_dict expects of each.
-_FLOW_FIELDS = {
-    "in_shape": [int, int, int],
-    "num_blocks": int,
-    "flows_per_block": int,
-    "squeeze": bool,
-    "ops": [str],
-    "num_nodes": int,
-    "edges": [[int, int]],
-    "tie_cells_per_block": bool,
-}
 
 
 class FlowModel:

@@ -260,6 +260,39 @@ def _restore(tensors: list[Tensor], snap: list[np.ndarray]) -> None:
         t.data = s.copy()
 
 
+def _guarded_steps(phase: str, params: list[Tensor], adam: AdamState,
+                   config: SearchConfig | RetrainConfig, steps: range, loss_at,
+                   lr_per_param=None) -> tuple[list[tuple[int, float, float]], int | None]:
+    """One clipped Adam step on `loss_at(step)` per step, with the cyclic
+    collector paused. The divergence guard stops at the first non-finite
+    loss: it restores the parameters of the step before, and logs the halt.
+
+    Returns (step, loss, gradient norm) of each step taken, and the step at
+    which the guard halted, or None."""
+    taken = []
+    for step in steps:
+        snapshot = _snapshot(params)
+        with _gc_paused():
+            try:
+                loss = loss_at(step)
+                diverged = not np.isfinite(loss.data)
+            except NumericError:
+                diverged = True
+            if diverged:
+                _restore(params, snapshot)
+                log.error("%s: non-finite loss at step %d; halting with last-good parameters",
+                          phase, step)
+                return taken, step
+            ad.zero_grad(params)
+            loss.backward()
+            grads = [p.grad for p in params]
+            norm = clip_gradients(grads, config.grad_clip)
+            adam_step(params, grads, adam, config.learning_rate,
+                      config.beta1, config.beta2, config.eps, lr_per_param=lr_per_param)
+        taken.append((step, float(loss.data), norm))
+    return taken, None
+
+
 def search(data: np.ndarray, config: SearchConfig, state: "SearchState | None" = None,
            stop_at: int | None = None) -> SearchResult:
     """Optimize flow parameters and architecture logits jointly.
@@ -297,34 +330,16 @@ def search(data: np.ndarray, config: SearchConfig, state: "SearchState | None" =
     lr_phi = config.phi_learning_rate or config.learning_rate
     lrs = [config.learning_rate] * len(theta) + [lr_phi]
     end = config.iterations if stop_at is None else min(stop_at, config.iterations)
-    halted_at = None
 
-    for step in range(start_step, end):
-        tau = anneal_tau(config.tau, step)
+    def loss_at(step: int) -> Tensor:
         batch = _draw_batch(x, config.batch_size, config.seed, step)
-        snapshot = _snapshot(params)
-        with _gc_paused():
-            try:
-                loss = _search_loss(model, logits, batch, tau, config.num_arch_samples,
-                                    config.seed, step)
-                diverged = not np.isfinite(loss.data)
-            except NumericError:
-                diverged = True
-            if diverged:
-                _restore(params, snapshot)
-                halted_at = step
-                log.error("search: non-finite loss at step %d; halting with last-good parameters",
-                          step)
-                break
+        return _search_loss(model, logits, batch, anneal_tau(config.tau, step),
+                            config.num_arch_samples, config.seed, step)
 
-            model.zero_grad()
-            logits.grad = None
-            loss.backward()
-            grads = [p.grad for p in params]
-            norm = clip_gradients(grads, config.grad_clip)
-            adam_step(params, grads, adam, config.learning_rate,
-                      config.beta1, config.beta2, config.eps, lr_per_param=lrs)
-        trace.append(TraceRow(step, float(loss.data), tau, norm))
+    taken, halted_at = _guarded_steps("search", params, adam, config, range(start_step, end),
+                                      loss_at, lr_per_param=lrs)
+    trace += [TraceRow(step, loss, anneal_tau(config.tau, step), norm)
+              for step, loss, norm in taken]
 
     final_tau = anneal_tau(config.tau, max(end - 1, 0))
     dist = ArchDistribution(
@@ -430,24 +445,8 @@ def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig,
     params = [p for _, p in model.parameters()]
     adam = AdamState.for_params(params)
 
-    for step in range(config.iterations):
-        batch = _draw_batch(x, config.batch_size, config.seed, step)
-        snapshot = _snapshot(params)
-        with _gc_paused():
-            try:
-                loss = -model.log_prob(batch, arch).mean()
-                diverged = not np.isfinite(loss.data)
-            except NumericError:
-                diverged = True
-            if diverged:
-                _restore(params, snapshot)
-                log.error("retrain: non-finite loss at step %d; halting with last-good parameters",
-                          step)
-                break
-            model.zero_grad()
-            loss.backward()
-            grads = [p.grad for p in params]
-            clip_gradients(grads, config.grad_clip)
-            adam_step(params, grads, adam, config.learning_rate,
-                      config.beta1, config.beta2, config.eps)
+    def loss_at(step: int) -> Tensor:
+        return -model.log_prob(_draw_batch(x, config.batch_size, config.seed, step), arch).mean()
+
+    _guarded_steps("retrain", params, adam, config, range(config.iterations), loss_at)
     return model

@@ -226,3 +226,69 @@ def per_sample_generate(ens, count, temperature, seed):
         zs = [temperature * rng_z.normal(size=(1,) + shape) for shape in model.config.latent_shapes()]
         out.append(model.inverse(zs, arch)[0])
     return np.stack(out)
+
+
+def reference_tau_schedule(doc):
+    """The temperature section read key by key with its defaults restated."""
+    from nads.trainer import TauSchedule
+
+    t = doc or {}
+    return TauSchedule(
+        kind=t.get("kind", "constant"),
+        tau0=float(t.get("tau0", 1.5)),
+        tau_min=float(t.get("tau_min", 0.1)),
+        steps=int(t.get("steps", 1)),
+        gamma=float(t.get("gamma", 0.999)),
+    )
+
+
+def reference_search_config(doc, seed, args, flow):
+    """The search section read key by key, the CLI flags written over it."""
+    from nads.trainer import SearchConfig
+
+    s = dict(doc.get("search", {}))
+    for flag, key in [("iterations", "iterations"), ("learning_rate", "learning_rate"),
+                      ("batch_size", "batch_size"), ("arch_samples", "num_arch_samples")]:
+        v = getattr(args, flag, None)
+        if v is not None:
+            s[key] = v
+    return SearchConfig(
+        flow=flow,
+        learning_rate=float(s.get("learning_rate", 1e-5)),
+        batch_size=int(s.get("batch_size", 4)),
+        iterations=int(s.get("iterations", 10_000)),
+        num_arch_samples=int(s.get("num_arch_samples", 4)),
+        tau=reference_tau_schedule(s.get("tau", {})),
+        beta1=float(s.get("beta1", 0.9)),
+        beta2=float(s.get("beta2", 0.999)),
+        eps=float(s.get("eps", 1e-8)),
+        seed=seed,
+        grad_clip=float(s.get("grad_clip", 50.0)),
+        phi_learning_rate=(
+            float(s["phi_learning_rate"]) if s.get("phi_learning_rate") is not None else None
+        ),
+    )
+
+
+def reference_retrain_config(doc, seed, args, flow):
+    """The retrain section read key by key, the CLI flags written over it."""
+    from nads.trainer import RetrainConfig
+
+    r = dict(doc.get("retrain", {}))
+    for flag, key in [("iterations", "iterations"), ("learning_rate", "learning_rate"),
+                      ("batch_size", "batch_size"), ("members", "ensemble_size")]:
+        v = getattr(args, flag, None)
+        if v is not None:
+            r[key] = v
+    return RetrainConfig(
+        flow=flow,
+        iterations=int(r.get("iterations", 150_000)),
+        learning_rate=float(r.get("learning_rate", 1e-5)),
+        batch_size=int(r.get("batch_size", 4)),
+        ensemble_size=int(r.get("ensemble_size", 5)),
+        beta1=float(r.get("beta1", 0.9)),
+        beta2=float(r.get("beta2", 0.999)),
+        eps=float(r.get("eps", 1e-8)),
+        seed=seed,
+        grad_clip=float(r.get("grad_clip", 50.0)),
+    )

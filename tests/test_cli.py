@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, artifacts, manifests, and end-to-end
 reproducibility of the toy pipeline."""
 
+import argparse
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -8,10 +10,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nads.cli import main
+from nads.cli import PROFILES, main, retrain_config_from, search_config_from
+from nads.errors import ConfigError
+from nads.flow_core import FlowConfig
+from nads.trainer import RetrainConfig, SearchConfig, TauSchedule
 from nads.data import load_points_csv, read_idx
 from nads.waic import read_loglik_csv, read_report_csv
+
+from oracles import reference_retrain_config, reference_search_config
 
 
 class TestExitCodes:
@@ -161,6 +170,18 @@ def _arch_op_args(op):
     return make
 
 
+def _config_args(text, command="search"):
+    def make(tmp_path, toy_pipeline):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        argv = [command, "--profile", "toy2d", "--config", str(config),
+                "--data", str(toy_pipeline["data"])]
+        if command == "ensemble":
+            return argv + ["--phi", str(toy_pipeline["root"] / "search" / "phi.json")]
+        return argv + ["--dry-run"]
+    return make
+
+
 def _checkpoint_args(patch):
     def make(tmp_path, toy_pipeline):
         manifest = _copy_ensemble(toy_pipeline, tmp_path / "ens", patch)
@@ -183,15 +204,101 @@ def _checkpoint_args(patch):
     _score_csv_args("x0,x1\n1.0,two\n"),
     _search_csv_args("x0,x1\n1.0,2.0\nnan,0.5\n"),
     _search_csv_args("x0,x1\n1.0,inf\n0.0,0.5\n"),
+    _config_args('{"search": {"batch_size": "four"}}'),
+    _config_args('{"search": {"tau": 3}}'),
+    _config_args('{"search": {"phi_learning_rate": "fast"}}'),
+    _config_args('{"search": {"iterations": 2.9}}'),
+    _config_args('{"search": {"learning_rate": true}}'),
+    _config_args('{"search": {"batch_sise": 8}}'),
+    _config_args('{"seed": "abc"}'),
+    _config_args('{"seed": 1.7}'),
+    _config_args('{"seed": true}'),
+    _config_args("[1, 2]"),
+    _config_args('{"search": [1]}'),
+    _config_args('{"retrain": {"ensemble_size": 2.5}}', command="ensemble"),
 ], ids=["phi-empty-object", "phi-not-json", "data-manifest-not-json", "report-non-numeric",
         "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2",
         "arch-op-past-menu", "arch-op-negative", "points-ragged-row", "points-non-numeric",
-        "train-nan", "train-inf"])
+        "train-nan", "train-inf", "config-int-as-string", "config-tau-not-object",
+        "config-float-as-string", "config-int-as-float", "config-float-as-bool",
+        "config-unknown-key", "config-seed-string", "config-seed-float", "config-seed-bool",
+        "config-not-object", "config-section-not-object", "config-retrain-int-as-float"])
 def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
     argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# -- config sections -------------------------------------------------------------
+
+FLAGS = ("iterations", "learning_rate", "batch_size", "arch_samples", "members")
+FLAG_OVERRIDES = [{}, {"iterations": 7}, {"learning_rate": 0.5}, {"batch_size": 3},
+                  {"arch_samples": 2}, {"members": 2}]
+# Every section key set, each number written as a JSON integer.
+ALL_KEYS_AS_INTEGERS = {
+    **PROFILES["toy2d"],
+    "search": {"learning_rate": 1, "batch_size": 2, "iterations": 3, "num_arch_samples": 1,
+               "tau": {"kind": "linear", "tau0": 2, "tau_min": 1, "steps": 5, "gamma": 1},
+               "beta1": 0, "beta2": 0, "eps": 1, "grad_clip": 5, "phi_learning_rate": 3},
+    "retrain": {"iterations": 3, "learning_rate": 1, "batch_size": 2, "ensemble_size": 1,
+                "beta1": 0, "beta2": 0, "eps": 1, "grad_clip": 5},
+}
+
+
+def _flags(**given):
+    return argparse.Namespace(**{**dict.fromkeys(FLAGS), **given})
+
+
+@pytest.mark.parametrize("overrides", FLAG_OVERRIDES,
+                         ids=["no-flags"] + [next(iter(o)) for o in FLAG_OVERRIDES[1:]])
+@pytest.mark.parametrize("doc", [*PROFILES.values(), ALL_KEYS_AS_INTEGERS],
+                         ids=[*PROFILES, "all-keys-as-integers"])
+def test_sections_decode_like_the_reference(doc, overrides):
+    args = _flags(**overrides)
+    flow = FlowConfig.from_dict(doc["flow"])
+    for decode, reference in [(search_config_from, reference_search_config),
+                              (retrain_config_from, reference_retrain_config)]:
+        got, want = decode(doc, 7, args), reference(doc, 7, args, flow)
+        # repr tells 1 from 1.0, so the float fields hold floats
+        assert got == want and repr(got) == repr(want)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=4),
+    max_leaves=12,
+)
+
+
+def _section_docs(cls, valid):
+    """Any JSON value, objects over the field names and other keys, and a
+    valid section with arbitrary values written over some of its keys."""
+    keys = st.sampled_from([f.name for f in dataclasses.fields(cls)]) | st.text(max_size=8)
+    docs = st.dictionaries(keys, JSON_VALUES, max_size=6)
+    return JSON_VALUES | docs | docs.map(lambda d: {**valid, **d})
+
+
+TOY_SEARCH = PROFILES["toy2d"]["search"]
+SECTION_DOCS = st.one_of(
+    _section_docs(SearchConfig, TOY_SEARCH).map(lambda d: {"search": d}),
+    _section_docs(TauSchedule, TOY_SEARCH["tau"]).map(lambda d: {"search": {"tau": d}}),
+    _section_docs(RetrainConfig, PROFILES["toy2d"]["retrain"]).map(lambda d: {"retrain": d}),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(SECTION_DOCS)
+def test_any_json_section_decodes_or_raises_config_error(section):
+    doc = {"flow": PROFILES["toy2d"]["flow"], **section}
+    for decode, cls in [(search_config_from, SearchConfig),
+                        (retrain_config_from, RetrainConfig)]:
+        try:
+            cfg = decode(doc, 0, _flags())
+        except ConfigError:
+            continue
+        assert isinstance(cfg, cls)
 
 
 def test_tampered_member_checkpoint_refused_before_load(tmp_path, toy_pipeline, capsys,

@@ -2,6 +2,7 @@
 checkpoint-resume trajectories, and the 2-op toy selection dynamics."""
 
 import gc
+import logging
 
 import numpy as np
 import pytest
@@ -350,6 +351,18 @@ class TestRetrain:
         m2 = retrain(self.arch(1), data, cfg)
         for (_, pa), (_, pb) in zip(m1.parameters(), m2.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_guard_keeps_last_good(self, caplog):
+        data = mixture_data(300)
+        cfg = RetrainConfig(flow=TOY_FLOW, iterations=50, learning_rate=1e300,
+                            batch_size=16, ensemble_size=1, seed=0)
+        with caplog.at_level(logging.ERROR, logger="nads.trainer"):
+            model = retrain(self.arch(1), data, cfg)
+        for _, p in model.parameters():
+            assert np.isfinite(p.data).all()
+        assert any(r.getMessage().startswith("retrain: non-finite loss")
+                   for r in caplog.records)
 
     def test_relaxed_arch_rejected(self):
         data = mixture_data(100)

@@ -40,7 +40,7 @@ from .ensemble import (
 from .errors import ConfigError, DataError, NadsError, NumericError
 from .flow_core import FlowConfig, decode_config, decode_value, save_checkpoint
 from .ood_eval import ScoredSets, evaluate, write_report_files
-from .search_space import ArchDistribution, CellTopology, serialize_architecture
+from .search_space import ArchDistribution, serialize_architecture
 from .trainer import RetrainConfig, SearchConfig, search, write_trace_csv
 from .waic import read_report_csv, waic_per_sample, write_loglik_csv, write_report_csv
 from .seeding import child_seed
@@ -233,22 +233,29 @@ def save_distribution(dist: ArchDistribution, flow: FlowConfig, path: Path) -> N
 
 
 def load_distribution(path: Path) -> tuple[ArchDistribution, FlowConfig]:
+    """Read a phi.json written by save_distribution. Its fields go through the
+    checked config decoders; the logits must be finite, and the op menu,
+    topology and cell-group count must agree with the flow section."""
     if not path.exists():
         raise ArtifactMissingError(f"distribution checkpoint {path} not found")
     try:
         doc = json.loads(path.read_text())
-        topo = CellTopology(doc["topology"]["num_nodes"],
-                            tuple(tuple(e) for e in doc["topology"]["edges"]))
-        dist = ArchDistribution(
-            np.asarray(doc["logits"]),
-            tau=float(doc["tau"]),
-            ops=tuple(doc["ops"]),
-            topology=topo,
-            num_cell_groups=int(doc["num_cell_groups"]),
-        )
-        flow = FlowConfig.from_dict(doc["flow"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
         raise ConfigError(f"{path} is not a valid distribution file: {exc!r}") from exc
+    keys = {"logits", "tau", "ops", "topology", "num_cell_groups", "flow"}
+    if not isinstance(doc, dict) or set(doc) != keys:
+        raise ConfigError(f"{path} must be an object with exactly the keys {sorted(keys)}")
+    flow = FlowConfig.from_dict(doc["flow"])
+    logits = decode_value(doc["logits"], tuple[tuple[float, ...], ...], "phi.logits")
+    if len({len(row) for row in logits}) > 1:
+        raise ConfigError(f"{path}: logits rows differ in length")
+    dist = decode_config(ArchDistribution, {k: doc[k] for k in keys - {"logits", "flow"}},
+                         "phi", logits=np.array(logits))
+    if not (np.isfinite(dist.logits).all() and np.isfinite(dist.tau)):
+        raise ConfigError(f"{path}: logits and tau must be finite")
+    if (dist.ops, dist.topology, dist.num_cell_groups) != (
+            flow.ops, flow.topology, flow.num_cell_groups()):
+        raise ConfigError(f"{path}: ops, topology and num_cell_groups disagree with its flow")
     return dist, flow
 
 

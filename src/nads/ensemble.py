@@ -1,6 +1,7 @@
-"""Posterior-weighted model ensemble: sample discrete architectures from the
-searched distribution, retrain each one, and score data by the weighted mean
-log-likelihood minus its weighted variance across members.
+"""Model ensemble: sample discrete architectures from the searched
+distribution, retrain each one, and score data by the mean log-likelihood
+minus its variance across members. Every member weighs 1/M, as in the search
+objective, so the score estimates WAIC under the searched distribution.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .seeding import child_seed, rng_for
 class EnsembleMember:
     arch: ArchSample
     model: FlowModel
-    raw_log_mass: float  # log posterior mass of the architecture
-    weight: float = 0.0
+    raw_log_mass: float  # log posterior mass of the architecture, kept as provenance
 
     def log_prob(self, x: np.ndarray) -> np.ndarray:
         with ad.no_grad():
@@ -47,13 +47,6 @@ class Ensemble:
     def __post_init__(self):
         if not self.members:
             raise ConfigError("ensemble must have at least one member")
-        total = sum(m.weight for m in self.members)
-        if abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"member weights sum to {total!r}, expected 1")
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([m.weight for m in self.members])
 
     @property
     def in_shape(self) -> tuple[int, int, int]:
@@ -68,21 +61,13 @@ class EnsembleBuildError(NadsError, RuntimeError):
         self.completed = completed
 
 
-def normalized_weights(log_masses: np.ndarray) -> np.ndarray:
-    """Posterior-mass weights normalized in log space to avoid underflow."""
-    v = np.asarray(log_masses, dtype=np.float64)
-    shifted = v - v.max()
-    w = np.exp(shifted)
-    return w / w.sum()
-
-
 def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConfig,
                    num_members: int | None = None, seed: int = 0,
                    warm_start: FlowModel | None = None,
                    provenance: dict | None = None) -> Ensemble:
-    """Draw discrete architectures, retrain each with an independent seed, and
-    weight members by their (normalized) posterior mass. Duplicate draws are
-    kept as distinct members; `warm_start` seeds every member's parameters
+    """Draw discrete architectures and retrain each with an independent seed.
+    Duplicate draws are kept as distinct members, so an architecture counts
+    as often as it was drawn; `warm_start` seeds every member's parameters
     from an existing model instead of a fresh initialization."""
     m = config.ensemble_size if num_members is None else num_members
     if m < 1:
@@ -96,9 +81,6 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
         except NadsError as exc:
             raise EnsembleBuildError(f"retraining member {j} failed: {exc}", members) from exc
         members.append(EnsembleMember(arch, model, raw_log_mass=arch_log_prob(dist, arch)))
-    w = normalized_weights(np.array([mem.raw_log_mass for mem in members]))
-    for mem, wi in zip(members, w):
-        mem.weight = float(wi)
     info = {"seed": seed, "num_members": m, "tau": dist.tau,
             "warm_start": warm_start is not None}
     info.update(provenance or {})
@@ -106,15 +88,15 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
 
 
 def member_logliks(ens: Ensemble, x: np.ndarray) -> LogLikMatrix:
-    """Every member's per-sample log-likelihood, one column per member,
-    weighted by posterior mass; `waic.waic_per_sample` scores it."""
+    """Every member's per-sample log-likelihood, one column per member;
+    `waic.waic_per_sample` scores it."""
     x = np.asarray(x, dtype=np.float64)
     cols = [mem.log_prob(x) for mem in ens.members]
-    return LogLikMatrix(np.stack(cols, axis=1), weights=ens.weights)
+    return LogLikMatrix(np.stack(cols, axis=1))
 
 
 def ensemble_waic(ens: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Per-sample score: weighted mean log-likelihood minus its variance."""
+    """Per-sample score: mean log-likelihood across members minus its variance."""
     return waic_per_sample(member_logliks(ens, x)).score
 
 
@@ -122,7 +104,7 @@ def generate_samples(source, count: int, temperature: float = 1.0, seed: int = 0
                      clip_range: tuple[float, float] | None = None) -> np.ndarray:
     """Draw latents at the given temperature and invert them to data space.
 
-    `source` is an Ensemble (members chosen by weight per sample) or a single
+    `source` is an Ensemble (a member chosen uniformly per sample) or a single
     EnsembleMember. With temperature 0 every draw is the latent origin's
     image."""
     if count < 1:
@@ -135,7 +117,7 @@ def generate_samples(source, count: int, temperature: float = 1.0, seed: int = 0
     elif isinstance(source, Ensemble):
         members = source.members
         rng = rng_for(seed, "member_choice")
-        assignment = rng.choice(len(members), size=count, p=source.weights)
+        assignment = rng.choice(len(members), size=count)
     else:
         raise ConfigError(f"cannot sample from {type(source).__name__}")
 
@@ -184,7 +166,6 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
                 "arch_ops": [int(k) for k in mem.arch.argmax_ops()],
                 "arch_text": serialize_architecture(mem.arch, dist_like),
                 "raw_log_mass": mem.raw_log_mass,
-                "weight": mem.weight,
                 "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
             }
         )
@@ -196,18 +177,19 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
 
 def load_ensemble(manifest_path) -> Ensemble:
     """Read a manifest written by save_ensemble. Each member checkpoint must
-    match the sha256 recorded for it before it is loaded."""
+    match the sha256 recorded for it before it is loaded. A `weight` key
+    that older manifests carry is ignored."""
     path = Path(manifest_path)
     if not path.exists():
         raise FileNotFoundError(f"ensemble manifest {path} not found")
     try:
         manifest = json.loads(path.read_text())
-        entries = [(e["checkpoint"], e["sha256"], e["arch_ops"], float(e["raw_log_mass"]),
-                    float(e["weight"])) for e in manifest["members"]]
+        entries = [(e["checkpoint"], e["sha256"], e["arch_ops"], float(e["raw_log_mass"]))
+                   for e in manifest["members"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path} is not a valid ensemble manifest: {exc!r}") from exc
     members = []
-    for name, sha256, chosen, raw_log_mass, weight in entries:
+    for name, sha256, chosen, raw_log_mass in entries:
         ckpt = path.parent / name
         if not ckpt.exists():
             raise FileNotFoundError(f"member checkpoint {ckpt} not found")
@@ -222,6 +204,5 @@ def load_ensemble(manifest_path) -> Ensemble:
                             f"[0, {k}), got {chosen!r}")
         w = np.zeros((rows, k))
         w[np.arange(rows), chosen] = 1.0
-        members.append(EnsembleMember(ArchSample("discrete", w), model,
-                                      raw_log_mass=raw_log_mass, weight=weight))
+        members.append(EnsembleMember(ArchSample("discrete", w), model, raw_log_mass))
     return Ensemble(members, provenance=manifest.get("provenance", {}))

@@ -265,13 +265,14 @@ def _guarded_steps(phase: str, params: list[Tensor], adam: AdamState,
                    lr_per_param=None) -> tuple[list[tuple[int, float, float]], int | None]:
     """One clipped Adam step on `loss_at(step)` per step, with the cyclic
     collector paused. The divergence guard stops at the first non-finite
-    loss: it restores the parameters of the step before, and logs the halt.
+    loss: it restores the parameters at which the last finite loss was
+    computed (a halt at the first step has none), and logs the halt.
 
     Returns (step, loss, gradient norm) of each step taken, and the step at
     which the guard halted, or None."""
     taken = []
+    last_good = None  # the parameters of the last finite loss, copied before its update
     for step in steps:
-        snapshot = _snapshot(params)
         with _gc_paused():
             try:
                 loss = loss_at(step)
@@ -279,7 +280,8 @@ def _guarded_steps(phase: str, params: list[Tensor], adam: AdamState,
             except NumericError:
                 diverged = True
             if diverged:
-                _restore(params, snapshot)
+                if last_good is not None:
+                    _restore(params, last_good)
                 log.error("%s: non-finite loss at step %d; halting with last-good parameters",
                           phase, step)
                 return taken, step
@@ -287,6 +289,7 @@ def _guarded_steps(phase: str, params: list[Tensor], adam: AdamState,
             loss.backward()
             grads = [p.grad for p in params]
             norm = clip_gradients(grads, config.grad_clip)
+            last_good = _snapshot(params)
             adam_step(params, grads, adam, config.learning_rate,
                       config.beta1, config.beta2, config.eps, lr_per_param=lr_per_param)
         taken.append((step, float(loss.data), norm))

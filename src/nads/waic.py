@@ -1,6 +1,8 @@
-"""WAIC scoring: posterior-weighted mean log-likelihood penalized by its
-variance across architectures, its Monte-Carlo training objective, and an
-exact enumeration reference for small search spaces.
+"""WAIC scoring: the mean log-likelihood across sampled architectures
+penalized by its variance, its Monte-Carlo training objective, and an exact
+enumeration reference for small search spaces. Every sampled architecture
+weighs 1/M, so the estimate converges to the exact score under the
+distribution the architectures were drawn from.
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ from .seeding import child_seed
 
 @dataclass
 class LogLikMatrix:
-    """Per-sample, per-architecture log-likelihoods with optional column weights."""
+    """Per-sample, per-architecture log-likelihoods."""
 
     values: np.ndarray  # (N samples, M architectures)
-    weights: np.ndarray | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -33,14 +34,6 @@ class LogLikMatrix:
         if len(bad):
             i, j = bad[0]
             raise DataError(f"non-finite log-likelihood at sample {i}, architecture {j}")
-        if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if self.weights.shape != (self.values.shape[1],):
-                raise DataError(
-                    f"weights shape {self.weights.shape} does not match {self.values.shape[1]} columns"
-                )
-            if (self.weights < 0).any() or abs(self.weights.sum() - 1.0) > 1e-12:
-                raise DataError("weights must be nonnegative and sum to 1")
 
     @property
     def num_samples(self) -> int:
@@ -49,12 +42,6 @@ class LogLikMatrix:
     @property
     def num_models(self) -> int:
         return self.values.shape[1]
-
-    def effective_weights(self) -> np.ndarray:
-        if self.weights is not None:
-            return self.weights
-        m = self.num_models
-        return np.full(m, 1.0 / m)
 
 
 @dataclass
@@ -74,24 +61,25 @@ class WaicReport:
         raise ConfigError(f"unknown aggregate {how!r} (use 'sum' or 'mean')")
 
 
-def weighted_moments(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise weighted mean and weighted population variance."""
-    mean = values @ weights
-    centered = values - mean[:, None]
-    var = (centered * centered) @ weights
-    return mean, var
+def moments(mat):
+    """Per-row mean across the M architecture columns of an (N, M) ndarray
+    or Tensor, then the population variance about it; each column weighs
+    1/M. Only ops that both types support, so that scores and the search
+    objective compute the same numbers."""
+    n, m = mat.shape
+    mean = mat.sum(axis=1) * (1.0 / m)
+    centered = mat - mean.reshape(n, 1)
+    return mean, (centered * centered).sum(axis=1) * (1.0 / m)
 
 
 def waic_per_sample(ll: LogLikMatrix) -> WaicReport:
-    w = ll.effective_weights()
-    mean, var = weighted_moments(ll.values, w)
+    mean, var = moments(ll.values)
     return WaicReport(mean=mean, variance=var, score=mean - var)
 
 
 def waic_mc_objective(loglik_columns) -> Tensor:
     """Training loss: negative sum over the batch of (mean - variance) of the
-    per-architecture log-likelihood columns. Mean and variance both use the
-    1/M normalizer, so the estimate converges to the exact score.
+    per-architecture log-likelihood columns, by `moments`.
 
     Columns are autodiff tensors of shape (batch,); the returned scalar is
     differentiable through every column.
@@ -104,10 +92,7 @@ def waic_mc_objective(loglik_columns) -> Tensor:
     for c in cols:
         if c.shape != (n,):
             raise DataError(f"log-likelihood columns disagree in shape: {c.shape} vs ({n},)")
-    mat = ad.concat([c.reshape(n, 1) for c in cols], axis=1)
-    mean = mat.mean(axis=1)
-    centered = mat - mean.reshape(n, 1)
-    var = (centered * centered).mean(axis=1)
+    mean, var = moments(ad.concat([c.reshape(n, 1) for c in cols], axis=1))
     return -(mean - var).sum()
 
 

@@ -183,17 +183,17 @@ def reference_adam(x0, grad_fn, steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return trace
 
 
-def weighted_moments_bruteforce(values, weights):
-    """Row-by-row weighted mean and population variance, scalar loops."""
+def moments_bruteforce(values):
+    """Row-by-row mean and population variance over the M columns, each
+    weighing 1/M, in scalar loops."""
     values = np.asarray(values, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
     n, m = values.shape
     mean = np.zeros(n)
     var = np.zeros(n)
     for i in range(n):
-        mu = sum(weights[j] * values[i, j] for j in range(m))
+        mu = sum(values[i, j] for j in range(m)) / m
         mean[i] = mu
-        var[i] = sum(weights[j] * (values[i, j] - mu) ** 2 for j in range(m))
+        var[i] = sum((values[i, j] - mu) ** 2 for j in range(m)) / m
     return mean, var
 
 
@@ -213,12 +213,12 @@ def per_sample_search_loss(model, logits, batch, noises, tau):
 
 def per_sample_generate(ens, count, temperature, seed):
     """generate_samples for an Ensemble written as one inverse per sample:
-    the member choices and latents come from the same seeded streams, drawn
-    in sample order."""
+    the member choices (uniform over members) and latents come from the same
+    seeded streams, drawn in sample order."""
     from nads.seeding import rng_for
 
     members = ens.members
-    assignment = rng_for(seed, "member_choice").choice(len(members), size=count, p=ens.weights)
+    assignment = rng_for(seed, "member_choice").choice(len(members), size=count)
     rng_z = rng_for(seed, "latents")
     out = []
     for j in assignment:

@@ -18,7 +18,7 @@ from nads.errors import ConfigError
 from nads.flow_core import FlowConfig
 from nads.trainer import RetrainConfig, SearchConfig, TauSchedule
 from nads.data import load_points_csv, read_idx
-from nads.waic import read_loglik_csv, read_report_csv
+from nads.waic import read_loglik_csv, read_report_csv, waic_per_sample
 
 from oracles import reference_retrain_config, reference_search_config
 
@@ -127,6 +127,15 @@ def _phi_args(text):
     return make
 
 
+def _phi_edit_args(edit):
+    """A copy of the toy run's phi.json with one field rewritten."""
+    def make(tmp_path, toy_pipeline):
+        doc = json.loads((toy_pipeline["root"] / "search" / "phi.json").read_text())
+        edit(doc)
+        return _phi_args(json.dumps(doc))(tmp_path, toy_pipeline)
+    return make
+
+
 def _bad_manifest_args(tmp_path, toy_pipeline):
     manifest = tmp_path / "data.json"
     manifest.write_text('{"format": "csv", "splits": ')
@@ -193,6 +202,14 @@ def _checkpoint_args(patch):
 @pytest.mark.parametrize("make_args", [
     _phi_args("{}"),
     _phi_args("{not json"),
+    _phi_edit_args(lambda d: d.update(tau="2")),
+    _phi_edit_args(lambda d: d.update(num_cell_groups=1.9)),
+    _phi_edit_args(lambda d: d.update(num_cell_groups=True)),
+    _phi_edit_args(lambda d: d.update(logits=[[str(v) for v in row] for row in d["logits"]])),
+    _phi_edit_args(lambda d: d["logits"][0].__setitem__(0, float("nan"))),
+    _phi_edit_args(lambda d: d.update(ops=d["ops"][::-1])),
+    _phi_edit_args(lambda d: d["topology"].update(edges=[[0, 1], [0, 2]])),
+    _phi_edit_args(lambda d: d.update(logits=[[0.0], [0.0, 0.0]])),
     _bad_manifest_args,
     _bad_report_args,
     _checkpoint_args(_set_op_id),
@@ -216,7 +233,9 @@ def _checkpoint_args(patch):
     _config_args("[1, 2]"),
     _config_args('{"search": [1]}'),
     _config_args('{"retrain": {"ensemble_size": 2.5}}', command="ensemble"),
-], ids=["phi-empty-object", "phi-not-json", "data-manifest-not-json", "report-non-numeric",
+], ids=["phi-empty-object", "phi-not-json", "phi-tau-string", "phi-groups-float",
+        "phi-groups-bool", "phi-logits-strings", "phi-logits-nan", "phi-ops-disagree-with-flow",
+        "phi-topology-disagrees-with-flow", "phi-logits-ragged", "data-manifest-not-json", "report-non-numeric",
         "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2",
         "arch-op-past-menu", "arch-op-negative", "points-ragged-row", "points-non-numeric",
         "train-nan", "train-inf", "config-int-as-string", "config-tau-not-object",
@@ -358,8 +377,8 @@ class TestPipelineArtifacts:
         out = toy_pipeline["root"] / "ensemble"
         doc = json.loads((out / "ensemble.json").read_text())
         assert len(doc["members"]) == 3
-        total = sum(m["weight"] for m in doc["members"])
-        assert total == pytest.approx(1.0, abs=1e-12)
+        for m in doc["members"]:  # members weigh 1/M; the mass is provenance only
+            assert "weight" not in m and m["raw_log_mass"] < 0
         for j in range(3):
             assert (out / f"member_{j:02d}.nadsflw").exists()
         manifest = json.loads((out / "manifest.json").read_text())
@@ -372,6 +391,16 @@ class TestPipelineArtifacts:
         ll = read_loglik_csv(out / "loglik.csv")
         assert ll.values.shape == (2000, 3)
         np.testing.assert_allclose(report.score, report.mean - report.variance, atol=1e-12)
+
+    @pytest.mark.parametrize("split", ["score_in", "score_out"])
+    def test_report_rescores_from_loglik_bit_for_bit(self, toy_pipeline, split):
+        # The searched phi is not uniform, so any weighting of members other
+        # than the 1/M of waic_per_sample shows here.
+        out = toy_pipeline["root"] / split
+        rescored = waic_per_sample(read_loglik_csv(out / "loglik.csv"))
+        report = read_report_csv(out / "waic_report.csv")
+        for field in ("mean", "variance", "score"):
+            np.testing.assert_array_equal(getattr(rescored, field), getattr(report, field))
 
     def test_eval_outputs_and_separation(self, toy_pipeline):
         out = toy_pipeline["root"] / "eval"

@@ -1,5 +1,6 @@
-"""Posterior-weighted ensemble arithmetic, cross-checked bit-for-bit against
-the WAIC module, plus building/serialization/generation."""
+"""Ensemble arithmetic (every member weighs 1/M), cross-checked bit-for-bit
+against the WAIC module, convergence of the ensemble score to the exact WAIC
+under the searched distribution, plus building/serialization/generation."""
 
 import json
 
@@ -15,14 +16,15 @@ from nads.ensemble import (
     generate_samples,
     load_ensemble,
     member_logliks,
-    normalized_weights,
     save_ensemble,
 )
+import nads.ensemble
+from nads.autodiff import Tensor
 from nads.errors import ConfigError, DataError
 from nads.flow_core import FlowConfig, FlowModel
 from nads.search_space import ArchDistribution, ArchSample, CellTopology, sample_discrete
 from nads.trainer import RetrainConfig
-from nads.waic import LogLikMatrix, waic_per_sample
+from nads.waic import LogLikMatrix, waic_exact, waic_per_sample
 
 from oracles import per_sample_generate
 
@@ -37,20 +39,18 @@ def mixture_data(count=400, seed=5):
     return make_synthetic(spec).x.reshape(-1, 2, 1, 1)
 
 
-def stub_member(lls, weight, arch_op=1):
+def stub_member(lls, arch_op=1):
     """Member whose log_prob returns a fixed vector (formula tests only)."""
     w = np.zeros((2, 2))
     w[:, arch_op] = 1.0
     model = FlowModel(TOY_FLOW, seed=0)
-    member = EnsembleMember(ArchSample("discrete", w), model,
-                            raw_log_mass=np.log(max(weight, 1e-300)), weight=weight)
+    member = EnsembleMember(ArchSample("discrete", w), model, raw_log_mass=0.0)
     member.log_prob = lambda x, lls=np.asarray(lls, dtype=np.float64): lls
     return member
 
 
-def stub_ensemble(columns, weights):
-    members = [stub_member(col, w) for col, w in zip(columns, weights)]
-    return Ensemble(members)
+def stub_ensemble(columns):
+    return Ensemble([stub_member(col) for col in columns])
 
 
 def ensemble_mean_loglik(ens, x):
@@ -61,83 +61,82 @@ def ensemble_var_loglik(ens, x):
     return waic_per_sample(member_logliks(ens, x)).variance
 
 
-class TestWeights:
-    def test_normalization_arithmetic(self):
-        # raw masses (0.2, 0.2, 0.1) -> weights (0.4, 0.4, 0.2)
-        w = normalized_weights(np.log([0.2, 0.2, 0.1]))
-        np.testing.assert_allclose(w, [0.4, 0.4, 0.2], atol=1e-12)
-
-    def test_single_member(self):
-        np.testing.assert_allclose(normalized_weights(np.log([0.3])), [1.0])
-
-    def test_scale_invariance(self):
-        # multiplying all raw masses by a constant leaves weights unchanged
-        lp = np.log([0.5, 0.25, 0.125])
-        np.testing.assert_allclose(
-            normalized_weights(lp), normalized_weights(lp + np.log(123.0)), atol=1e-15
-        )
-
-    def test_log_space_underflow_safe(self):
-        w = normalized_weights(np.array([-2000.0, -2001.0]))
-        assert np.isfinite(w).all()
-        np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
-        assert w[0] > w[1]
-
-    def test_weights_must_sum_to_one(self):
-        with pytest.raises(ConfigError):
-            Ensemble([stub_member([0.0], 0.5), stub_member([0.0], 0.4)])
-
-
 class TestMoments:
     def test_mean_trivial_cases(self):
         x = np.zeros((2, 2, 1, 1))
-        ens = stub_ensemble([[-1.0, -5.0], [-1.0, -5.0]], [0.5, 0.5])
+        ens = stub_ensemble([[-1.0, -5.0], [-1.0, -5.0]])
         np.testing.assert_allclose(ensemble_mean_loglik(ens, x), [-1.0, -5.0])
-        ens2 = stub_ensemble([[-1.0], [-3.0]], [0.5, 0.5])
+        ens2 = stub_ensemble([[-1.0], [-3.0]])
         np.testing.assert_allclose(ensemble_mean_loglik(ens2, np.zeros((1, 2, 1, 1))), [-2.0])
 
     def test_mean_matches_bruteforce(self):
         rng = np.random.default_rng(0)
         cols = rng.normal(size=(3, 5))
-        w = rng.dirichlet(np.ones(3))
-        ens = stub_ensemble(cols, w)
+        ens = stub_ensemble(cols)
         got = ensemble_mean_loglik(ens, np.zeros((5, 2, 1, 1)))
-        want = sum(w[i] * cols[i] for i in range(3))
+        want = sum(cols[i] for i in range(3)) / 3.0
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_variance_hand_case(self):
-        # lls (-1, -3) with weights (0.5, 0.5): 0.5(1 + 9) - 4 = 1
-        ens = stub_ensemble([[-1.0], [-3.0]], [0.5, 0.5])
+        # lls (-1, -3), each weighing 1/2: 0.5(1 + 9) - 4 = 1
+        ens = stub_ensemble([[-1.0], [-3.0]])
         np.testing.assert_allclose(ensemble_var_loglik(ens, np.zeros((1, 2, 1, 1))), [1.0])
 
     def test_variance_trivial_cases(self):
         x = np.zeros((3, 2, 1, 1))
-        same = stub_ensemble([[-2.0, 0.0, 1.0]] * 3, [0.2, 0.5, 0.3])
+        same = stub_ensemble([[-2.0, 0.0, 1.0]] * 3)
         np.testing.assert_allclose(ensemble_var_loglik(same, x), 0.0, atol=1e-15)
-        degenerate = stub_ensemble([[-1.0, 2.0, 0.5], [5.0, -9.0, 3.3]], [1.0, 0.0])
-        np.testing.assert_allclose(ensemble_var_loglik(degenerate, x), 0.0, atol=1e-15)
+        single = stub_ensemble([[-1.0, 2.0, 0.5]])
+        np.testing.assert_array_equal(ensemble_var_loglik(single, x), 0.0)
 
     def test_waic_hand_case_and_bound(self):
         x = np.zeros((1, 2, 1, 1))
-        ens = stub_ensemble([[-1.0], [-3.0]], [0.5, 0.5])
+        ens = stub_ensemble([[-1.0], [-3.0]])
         np.testing.assert_allclose(ensemble_waic(ens, x), [-3.0])
         rng = np.random.default_rng(1)
-        cols = rng.normal(size=(4, 6))
-        w = rng.dirichlet(np.ones(4))
-        ens2 = stub_ensemble(cols, w)
+        ens2 = stub_ensemble(rng.normal(size=(4, 6)))
         xx = np.zeros((6, 2, 1, 1))
         assert (ensemble_waic(ens2, xx) <= ensemble_mean_loglik(ens2, xx) + 1e-12).all()
 
     def test_bit_level_cross_consistency_with_waic_module(self):
         rng = np.random.default_rng(2)
         cols = rng.normal(size=(3, 8))
-        w = rng.dirichlet(np.ones(3))
-        ens = stub_ensemble(cols, w)
+        ens = stub_ensemble(cols)
         x = np.zeros((8, 2, 1, 1))
-        report = waic_per_sample(LogLikMatrix(np.stack(cols, axis=1), weights=w))
+        report = waic_per_sample(LogLikMatrix(np.stack(cols, axis=1)))
         np.testing.assert_array_equal(ensemble_waic(ens, x), report.score)
         np.testing.assert_array_equal(ensemble_mean_loglik(ens, x), report.mean)
         np.testing.assert_array_equal(ensemble_var_loglik(ens, x), np.maximum(report.variance, 0))
+
+
+class TestConvergence:
+    """Criterion-6 style: the ensemble score of M members drawn from q must
+    converge to the exact WAIC under q. Retraining is stubbed so that each
+    member's log-likelihood is an oracle value of its architecture."""
+
+    OPS = ("zero", "identity", "avg_pool_3x3")
+    LOGLIK = np.array([-5.0, -1.0, 0.0])  # per op of the single edge
+
+    def test_ensemble_waic_reaches_exact(self, monkeypatch):
+        class OracleModel:
+            def log_prob(self, x, arch):
+                return Tensor(np.full(len(x), TestConvergence.LOGLIK[arch.argmax_ops()[0]]))
+
+        monkeypatch.setattr(nads.ensemble, "retrain",
+                            lambda arch, data, config, init_from=None: OracleModel())
+        single = CellTopology(2, ((0, 1),))
+        dist = ArchDistribution(np.log([[0.1, 0.3, 0.6]]), 1.0, self.OPS, single, 1)
+        flow = FlowConfig(in_shape=(2, 1, 1), num_blocks=1, flows_per_block=1,
+                          squeeze=False, topology=single, ops=self.OPS)
+        cfg = RetrainConfig(flow=flow, iterations=0)
+        exact = waic_exact(dist, lambda arch: self.LOGLIK[arch.argmax_ops()[0]]).score
+        x = np.zeros((1, 2, 1, 1))
+        estimates = np.array([
+            ensemble_waic(build_ensemble(dist, x, cfg, num_members=500, seed=s), x)[0]
+            for s in range(40)
+        ])
+        se = estimates.std(ddof=1) / np.sqrt(len(estimates))
+        assert abs(estimates.mean() - exact) < 3 * se + 1e-3, (estimates.mean(), exact, se)
 
 
 class TestBuild:
@@ -148,12 +147,14 @@ class TestBuild:
                             batch_size=32, ensemble_size=3, seed=1)
         ens = build_ensemble(dist, data, cfg, seed=5)
         assert len(ens.members) == 3
-        np.testing.assert_allclose(ens.weights.sum(), 1.0, atol=1e-12)
-        # uniform phi: every sampled arch has the same mass -> uniform weights
-        np.testing.assert_allclose(ens.weights, 1.0 / 3.0, atol=1e-12)
+        for mem in ens.members:  # the architecture's mass is kept as provenance
+            assert mem.raw_log_mass == pytest.approx(2 * np.log(0.5))
         scores = ensemble_waic(ens, data[:7])
         assert scores.shape == (7,)
         assert np.isfinite(scores).all()
+        # every member weighs 1/3
+        cols = np.stack([mem.log_prob(data[:7]) for mem in ens.members], axis=1)
+        np.testing.assert_array_equal(scores, waic_per_sample(LogLikMatrix(cols)).score)
 
     def test_degenerate_distribution_duplicates_kept(self):
         data = mixture_data(200)
@@ -164,7 +165,6 @@ class TestBuild:
         ens = build_ensemble(dist, data, cfg, seed=6)
         for mem in ens.members:
             assert (mem.arch.argmax_ops() == 1).all()
-        np.testing.assert_allclose(ens.weights, 1.0 / 3.0, atol=1e-12)
         # independent retraining seeds give parameter diversity
         p0 = ens.members[0].model.parameters()[0][1].data
         p1 = ens.members[1].model.parameters()[0][1].data
@@ -176,7 +176,13 @@ class TestBuild:
         cfg = RetrainConfig(flow=TOY_FLOW, iterations=2, learning_rate=1e-2,
                             batch_size=16, ensemble_size=1, seed=3)
         ens = build_ensemble(dist, data, cfg, seed=7)
-        np.testing.assert_allclose(ens.weights, [1.0])
+        # a single member is the whole estimate: no variance across members
+        x = data[:5]
+        np.testing.assert_array_equal(ensemble_waic(ens, x), ens.members[0].log_prob(x))
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ConfigError):
+            Ensemble([])
 
     def test_invalid_size(self):
         dist = ArchDistribution.uniform(("zero", "identity"), CHAIN, 1)
@@ -228,7 +234,7 @@ class TestGenerate:
                 p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
             arch = sample_discrete(dist, j)
             model.initialize_actnorm(rng.random((4, 1, 8, 8)), arch)
-            members.append(EnsembleMember(arch, model, raw_log_mass=0.0, weight=1.0 / 3.0))
+            members.append(EnsembleMember(arch, model, raw_log_mass=0.0))
         ens = Ensemble(members)
         batched = generate_samples(ens, count=12, temperature=0.7, seed=5)
         looped = per_sample_generate(ens, count=12, temperature=0.7, seed=5)
@@ -251,11 +257,26 @@ class TestManifest:
         ens = build_ensemble(dist, data, cfg, seed=9)
         manifest = save_ensemble(ens, tmp_path)
         loaded = load_ensemble(manifest)
-        np.testing.assert_allclose(loaded.weights, ens.weights, atol=1e-15)
         x = data[:5]
         np.testing.assert_array_equal(ensemble_waic(loaded, x), ensemble_waic(ens, x))
         for mem, orig in zip(loaded.members, ens.members):
             np.testing.assert_array_equal(mem.arch.weights, orig.arch.weights)
+
+    def test_weight_key_of_older_manifests_ignored(self, tmp_path):
+        data = mixture_data(150)
+        dist = ArchDistribution.uniform(("zero", "identity"), CHAIN, 1)
+        cfg = RetrainConfig(flow=TOY_FLOW, iterations=2, learning_rate=1e-2,
+                            batch_size=16, ensemble_size=2, seed=6)
+        ens = build_ensemble(dist, data, cfg, seed=10)
+        manifest = save_ensemble(ens, tmp_path)
+        doc = json.loads(manifest.read_text())
+        assert all("weight" not in e for e in doc["members"])
+        for e, w in zip(doc["members"], (0.9, 0.1)):
+            e["weight"] = w
+        manifest.write_text(json.dumps(doc))
+        x = data[:5]
+        np.testing.assert_array_equal(ensemble_waic(load_ensemble(manifest), x),
+                                      ensemble_waic(ens, x))
 
     @pytest.mark.parametrize("op", [2, -1, 1.0, True], ids=["past-menu", "negative",
                                                             "float", "bool"])

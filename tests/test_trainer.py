@@ -1,6 +1,7 @@
 """Optimizer identities, temperature schedules, search/retrain determinism,
 checkpoint-resume trajectories, and the 2-op toy selection dynamics."""
 
+import dataclasses
 import gc
 import logging
 
@@ -226,6 +227,20 @@ class TestSearch:
         assert np.isfinite(res.dist.logits).all()
         for _, p in res.model.parameters():
             assert np.isfinite(p.data).all()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_guard_restores_parameters_of_last_finite_loss(self):
+        # The halt puts back the parameters at which the last finite loss was
+        # computed: those of a run that stops one step before the halt.
+        data = mixture_data(300)
+        cfg = SearchConfig(flow=TOY_FLOW, learning_rate=1e300, batch_size=16,
+                           iterations=50, num_arch_samples=2, seed=0)
+        res = search(data, cfg)
+        assert res.halted_at is not None and res.halted_at >= 1
+        ref = search(data, dataclasses.replace(cfg, iterations=res.halted_at - 1))
+        np.testing.assert_array_equal(res.dist.logits, ref.dist.logits)
+        for (_, p), (_, q) in zip(res.model.parameters(), ref.model.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
 
     def test_trace_csv_format(self, tmp_path):
         data = mixture_data(300)

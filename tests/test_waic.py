@@ -16,12 +16,11 @@ from nads.waic import (
     waic_mc_estimate,
     waic_mc_objective,
     waic_per_sample,
-    weighted_moments,
     write_loglik_csv,
     write_report_csv,
 )
 
-from oracles import finite_diff_grad, weighted_moments_bruteforce
+from oracles import finite_diff_grad, moments_bruteforce
 
 SINGLE = CellTopology(num_nodes=2, edges=((0, 1),))
 
@@ -45,29 +44,28 @@ class TestPerSample:
         assert report.score[0] == 0.0
 
     def test_hand_arithmetic_row(self):
-        # row (-1, -3), uniform weights: mean -2, variance 1, score -3.
+        # row (-1, -3), each column weighs 1/2: mean -2, variance 1, score -3.
         report = waic_per_sample(LogLikMatrix(np.array([[-1.0, -3.0]])))
         assert report.mean[0] == pytest.approx(-2.0)
         assert report.variance[0] == pytest.approx(1.0)
         assert report.score[0] == pytest.approx(-3.0)
 
-    def test_matches_bruteforce_weighted_moments(self):
+    def test_matches_bruteforce_moments(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(6, 5))
-        w = rng.dirichlet(np.ones(5))
-        report = waic_per_sample(LogLikMatrix(values, weights=w))
-        mean, var = weighted_moments_bruteforce(values, w)
+        report = waic_per_sample(LogLikMatrix(values))
+        mean, var = moments_bruteforce(values)
         np.testing.assert_allclose(report.mean, mean, atol=1e-12)
         np.testing.assert_allclose(report.variance, var, atol=1e-12)
 
-    def test_uniform_explicit_weights_bit_identical_to_implicit(self):
+    def test_bit_identical_to_mc_objective(self):
+        # Scores and the search objective share one estimator: the objective
+        # on the columns is minus the sum of the per-sample scores, exactly.
         rng = np.random.default_rng(1)
         values = rng.normal(size=(8, 3))
-        implicit = waic_per_sample(LogLikMatrix(values))
-        explicit = waic_per_sample(LogLikMatrix(values, weights=np.full(3, 1.0 / 3.0)))
-        np.testing.assert_array_equal(implicit.mean, explicit.mean)
-        np.testing.assert_array_equal(implicit.variance, explicit.variance)
-        np.testing.assert_array_equal(implicit.score, explicit.score)
+        report = waic_per_sample(LogLikMatrix(values))
+        loss = waic_mc_objective([Tensor(col) for col in values.T])
+        assert loss.item() == -report.score.sum()
 
     def test_variance_nonnegative_and_score_bounded(self):
         rng = np.random.default_rng(2)
@@ -91,8 +89,6 @@ class TestPerSample:
             LogLikMatrix(np.zeros((0, 2)))
         with pytest.raises(DataError, match="sample 1, architecture 0"):
             LogLikMatrix(np.array([[0.0, 1.0], [np.nan, 2.0]]))
-        with pytest.raises(DataError):
-            LogLikMatrix(np.zeros((2, 2)), weights=np.array([0.7, 0.7]))
 
     def test_aggregate(self):
         report = waic_per_sample(LogLikMatrix(np.array([[-1.0], [-3.0]])))

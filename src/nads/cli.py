@@ -105,11 +105,11 @@ def resolve_config(args) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         p = Path(config_path)
-        if not p.exists():
-            raise ConfigError(f"config file {p} not found")
+        if not p.is_file():
+            raise ConfigError(f"config file {p} not found or not a file")
         try:
             loaded = json.loads(p.read_text())
-        except ValueError as exc:  # also undecodable bytes
+        except (ValueError, RecursionError) as exc:  # undecodable bytes, bad or deep JSON
             raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(
@@ -209,8 +209,8 @@ def _adapt_shape(x: np.ndarray, in_shape: tuple[int, int, int]) -> np.ndarray:
 
 def _load_score_data(path: str, split: str, seed: int) -> Dataset:
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"dataset {p} not found")
+    if not p.is_file():
+        raise ConfigError(f"dataset {p} not found or not a file")
     if p.suffix == ".json":
         return _load_training_data(path, seed, split)
     if p.suffix == ".csv":
@@ -220,42 +220,35 @@ def _load_score_data(path: str, split: str, seed: int) -> Dataset:
 
 
 def save_distribution(dist: ArchDistribution, flow: FlowConfig, path: Path) -> None:
-    doc = {
-        "logits": dist.logits.tolist(),
-        "tau": dist.tau,
-        "ops": list(dist.ops),
-        "topology": {"num_nodes": dist.topology.num_nodes,
-                     "edges": [list(e) for e in dist.topology.edges]},
-        "num_cell_groups": dist.num_cell_groups,
-        "flow": flow.to_dict(),
-    }
+    """Write phi.json: the logits and temperature, and the flow config whose
+    op menu, cell topology and cell-group count lay out the logits."""
+    doc = {"logits": dist.logits.tolist(), "tau": dist.tau, "flow": flow.to_dict()}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True))
 
 
 def load_distribution(path: Path) -> tuple[ArchDistribution, FlowConfig]:
     """Read a phi.json written by save_distribution. Its fields go through the
-    checked config decoders; the logits must be finite, and the op menu,
-    topology and cell-group count must agree with the flow section."""
-    if not path.exists():
-        raise ArtifactMissingError(f"distribution checkpoint {path} not found")
+    checked config decoders, the logits and temperature must be finite, and
+    the logits must have one row per cell edge of the flow and one column
+    per op."""
+    if not path.is_file():
+        raise ArtifactMissingError(f"distribution checkpoint {path} not found or not a file")
     try:
         doc = json.loads(path.read_text())
-    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, bad or deep JSON
         raise ConfigError(f"{path} is not a valid distribution file: {exc!r}") from exc
-    keys = {"logits", "tau", "ops", "topology", "num_cell_groups", "flow"}
+    keys = {"logits", "tau", "flow"}
     if not isinstance(doc, dict) or set(doc) != keys:
-        raise ConfigError(f"{path} must be an object with exactly the keys {sorted(keys)}")
+        raise ConfigError(f"{path} must be an object with exactly the keys {sorted(keys)} "
+                          "(the op menu and topology live in its flow)")
     flow = FlowConfig.from_dict(doc["flow"])
     logits = decode_value(doc["logits"], tuple[tuple[float, ...], ...], "phi.logits")
     if len({len(row) for row in logits}) > 1:
         raise ConfigError(f"{path}: logits rows differ in length")
-    dist = decode_config(ArchDistribution, {k: doc[k] for k in keys - {"logits", "flow"}},
-                         "phi", logits=np.array(logits))
+    dist = ArchDistribution(np.array(logits), decode_value(doc["tau"], float, "phi.tau"),
+                            flow.ops, flow.topology, flow.num_cell_groups())
     if not (np.isfinite(dist.logits).all() and np.isfinite(dist.tau)):
         raise ConfigError(f"{path}: logits and tau must be finite")
-    if (dist.ops, dist.topology, dist.num_cell_groups) != (
-            flow.ops, flow.topology, flow.num_cell_groups()):
-        raise ConfigError(f"{path}: ops, topology and num_cell_groups disagree with its flow")
     return dist, flow
 
 
@@ -349,12 +342,17 @@ def _load_ensemble(path: str):
         raise ArtifactMissingError(str(exc)) from exc
 
 
+def _read_report(path: str):
+    if not Path(path).is_file():
+        raise ArtifactMissingError(f"WAIC report {path} not found or not a file")
+    return read_report_csv(path)
+
+
 def cmd_eval(args) -> int:
     started = time.time()
     doc = resolve_config(args)
     seed = resolve_seed(args, doc)
-    in_report = read_report_csv(args.in_report)
-    out_report = read_report_csv(args.out_report)
+    in_report, out_report = _read_report(args.in_report), _read_report(args.out_report)
     scored = ScoredSets(in_scores=in_report.score, out_scores=out_report.score)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

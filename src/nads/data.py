@@ -250,9 +250,12 @@ def save_points_csv(path, d: Dataset) -> None:
 
 
 def load_points_csv(path, name: str = "", split: str = "") -> Dataset:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, row) for row in reader]
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
     if not rows:
         raise DataError(f"{path}: empty CSV")
     if rows[0][1] == ["x0", "x1"]:
@@ -276,11 +279,11 @@ def load_data_manifest(path) -> dict[str, Dataset]:
     "test": file, "ood": file, ...}}. Paths resolve relative to the manifest.
     """
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"data manifest {p} not found")
+    if not p.is_file():
+        raise ConfigError(f"data manifest {p} not found or not a file")
     try:
         doc = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # undecodable bytes, bad or deep JSON
         raise ConfigError(f"data manifest {p} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError(f"data manifest {p} must be a JSON object")
@@ -293,9 +296,11 @@ def load_data_manifest(path) -> dict[str, Dataset]:
         raise ConfigError(f"{p}: manifest must map split names to files")
     out = {}
     for split, rel in splits.items():
+        if not isinstance(rel, str):
+            raise ConfigError(f"{p}: split {split!r} must name a file, got {rel!r}")
         fpath = p.parent / rel
-        if not fpath.exists():
-            raise ConfigError(f"{p}: split {split!r} file {fpath} not found")
+        if not fpath.is_file():
+            raise ConfigError(f"{p}: split {split!r} file {fpath} not found or not a file")
         if fmt == "csv":
             out[split] = load_points_csv(fpath, name, split)
         else:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NadsError
-from .flow_core import FlowModel, load_checkpoint, save_checkpoint
+from .flow_core import FlowModel, decode_value, load_checkpoint, save_checkpoint
 from .search_space import (
     ArchDistribution,
     ArchSample,
@@ -109,8 +109,8 @@ def generate_samples(source, count: int, temperature: float = 1.0, seed: int = 0
     image."""
     if count < 1:
         raise ConfigError("count must be at least 1")
-    if temperature < 0:
-        raise ConfigError("temperature must be nonnegative")
+    if not (np.isfinite(temperature) and temperature >= 0):
+        raise ConfigError(f"temperature must be finite and nonnegative, got {temperature}")
     if isinstance(source, EnsembleMember):
         members = [source]
         assignment = np.zeros(count, dtype=int)
@@ -153,18 +153,13 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
     for j, mem in enumerate(ens.members):
         ckpt = d / f"member_{j:02d}.nadsflw"
         save_checkpoint(mem.model, ckpt)
-        dist_like = ArchDistribution(
-            np.zeros_like(mem.arch.weights),
-            tau=1.0,
-            ops=mem.model.config.ops,
-            topology=mem.model.config.topology,
-            num_cell_groups=mem.model.config.num_cell_groups(),
-        )
+        cfg = mem.model.config
+        names = ArchDistribution.uniform(cfg.ops, cfg.topology, cfg.num_cell_groups())
         entries.append(
             {
                 "checkpoint": ckpt.name,
                 "arch_ops": [int(k) for k in mem.arch.argmax_ops()],
-                "arch_text": serialize_architecture(mem.arch, dist_like),
+                "arch_text": serialize_architecture(mem.arch, names),
                 "raw_log_mass": mem.raw_log_mass,
                 "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
             }
@@ -180,28 +175,32 @@ def load_ensemble(manifest_path) -> Ensemble:
     match the sha256 recorded for it before it is loaded. A `weight` key
     that older manifests carry is ignored."""
     path = Path(manifest_path)
-    if not path.exists():
-        raise FileNotFoundError(f"ensemble manifest {path} not found")
-    try:
+    if not path.is_file():
+        raise FileNotFoundError(f"ensemble manifest {path} not found or not a file")
+    try:  # decode_value's ConfigError is a ValueError; deep JSON is a RecursionError
         manifest = json.loads(path.read_text())
-        entries = [(e["checkpoint"], e["sha256"], e["arch_ops"], float(e["raw_log_mass"]))
-                   for e in manifest["members"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        entries = [(decode_value(e["checkpoint"], str, f"members[{i}].checkpoint"),
+                    decode_value(e["sha256"], str, f"members[{i}].sha256"),
+                    decode_value(e["arch_ops"], tuple[int, ...], f"members[{i}].arch_ops"),
+                    decode_value(e["raw_log_mass"], float, f"members[{i}].raw_log_mass"))
+                   for i, e in enumerate(manifest["members"])]
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"{path} is not a valid ensemble manifest: {exc!r}") from exc
     members = []
     for name, sha256, chosen, raw_log_mass in entries:
+        if not np.isfinite(raw_log_mass):
+            raise DataError(f"{path}: raw_log_mass of {name} must be finite, got {raw_log_mass}")
         ckpt = path.parent / name
-        if not ckpt.exists():
-            raise FileNotFoundError(f"member checkpoint {ckpt} not found")
+        if not ckpt.is_file():
+            raise FileNotFoundError(f"member checkpoint {ckpt} not found or not a file")
         if hashlib.sha256(ckpt.read_bytes()).hexdigest() != sha256:
             raise DataError(f"member checkpoint {ckpt} does not match its recorded sha256")
         model = load_checkpoint(ckpt)
         rows = model.config.num_cell_groups() * model.config.topology.num_edges
         k = len(model.config.ops)
-        if not (isinstance(chosen, list) and len(chosen) == rows
-                and all(type(op) is int and 0 <= op < k for op in chosen)):
+        if len(chosen) != rows or not all(0 <= op < k for op in chosen):
             raise DataError(f"{path}: arch_ops of {name} must be {rows} integers in "
-                            f"[0, {k}), got {chosen!r}")
+                            f"[0, {k}), got {list(chosen)!r}")
         w = np.zeros((rows, k))
         w[np.arange(rows), chosen] = 1.0
         members.append(EnsembleMember(ArchSample("discrete", w), model, raw_log_mass))

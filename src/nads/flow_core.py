@@ -10,8 +10,8 @@ parameter); the inverse path is plain numpy.
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
-import struct
 import typing
 from dataclasses import dataclass, field
 
@@ -33,7 +33,7 @@ log = logging.getLogger(__name__)
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 MIN_COUPLING_SCALE = 1e-12
-CHECKPOINT_MAGIC = b"NADSFLW1"
+CHECKPOINT_MAGIC = b"NADSFLW2"
 
 
 def _per_channel(v: Tensor) -> Tensor:
@@ -355,7 +355,6 @@ class FlowModel:
 
     def __init__(self, config: FlowConfig, seed: int = 0):
         self.config = config
-        self.seed = seed
         self.blocks: list[list[FlowStep]] = []
         flags = config.coupling_flags()
         for b, (c, _, _) in enumerate(config.block_shapes()):
@@ -567,94 +566,66 @@ def _unsqueeze_np(y: np.ndarray) -> np.ndarray:
 
 # -- checkpoint format -------------------------------------------------------
 #
-# magic "NADSFLW1", then a little-endian header:
-#   u32 C, H, W, num_blocks, flows_per_block
-#   u8 squeeze, u8 tie_cells_per_block, u16 reserved
-#   u32 num_ops, then u8 op ids (indices into OP_KINDS)
-#   u32 cell num_nodes, u32 num_edges, then u32 (i, j) per edge
-#   per flow step (declaration order): u8 actnorm_initialized,
-#     u32 perm[C_b], i8 sign[C_b]
-# followed by the raw <f8 parameter arrays in declaration order.
+# magic "NADSFLW2", then a little-endian u32 header length, then the UTF-8
+# JSON header {"flow": FlowConfig.to_dict(), "steps": [[actnorm_initialized,
+# perm, sign], ...]} (one entry per flow step in declaration order; perm is
+# the 1x1 permutation and sign its +1/-1 diagonal signs), written with sorted
+# keys, followed by the raw <f8 parameter arrays in declaration order.
 
 
 def save_checkpoint(model: FlowModel, path) -> None:
-    cfg = model.config
-    c, h, w = cfg.in_shape
-    parts = [CHECKPOINT_MAGIC]
-    parts.append(struct.pack("<5I", c, h, w, cfg.num_blocks, cfg.flows_per_block))
-    parts.append(struct.pack("<BBH", int(cfg.squeeze), int(cfg.tie_cells_per_block), 0))
-    op_ids = [OP_KINDS.index(op) for op in cfg.ops]
-    parts.append(struct.pack("<I", len(op_ids)) + bytes(op_ids))
-    topo = cfg.topology
-    parts.append(struct.pack("<2I", topo.num_nodes, topo.num_edges))
-    for i, j in topo.edges:
-        parts.append(struct.pack("<2I", i, j))
-    for steps in model.blocks:
-        for step in steps:
-            parts.append(struct.pack("<B", int(step.actnorm.initialized)))
-            parts.append(step.inv1x1.perm.astype("<u4").tobytes())
-            parts.append(step.inv1x1.sign_diag.astype("<i1").tobytes())
+    steps = [[step.actnorm.initialized, step.inv1x1.perm.tolist(),
+              step.inv1x1.sign_diag.astype(int).tolist()]
+             for block in model.blocks for step in block]
+    header = json.dumps({"flow": model.config.to_dict(), "steps": steps},
+                        sort_keys=True, separators=(",", ":")).encode()
+    parts = [CHECKPOINT_MAGIC, len(header).to_bytes(4, "little"), header]
     for _, p in model.parameters():
         parts.append(np.ascontiguousarray(p.data, dtype="<f8").tobytes())
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
 
-class _Reader:
-    def __init__(self, blob: bytes):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise UsageError("truncated checkpoint")
-        out = self.blob[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
 def load_checkpoint(path) -> FlowModel:
     with open(path, "rb") as fh:
         blob = fh.read()
-    r = _Reader(blob)
-    if r.take(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
-        raise UsageError(f"{path}: not a flow checkpoint (bad magic)")
-    c, h, w, num_blocks, flows = r.unpack("<5I")
-    squeeze, tie, _ = r.unpack("<BBH")
-    (num_ops,) = r.unpack("<I")
-    op_ids = r.take(num_ops)
-    if any(b >= len(OP_KINDS) for b in op_ids):
-        raise UsageError(f"{path}: operation id out of range 0..{len(OP_KINDS) - 1}")
-    ops = tuple(OP_KINDS[b] for b in op_ids)
-    num_nodes, num_edges = r.unpack("<2I")
-    edges = tuple(tuple(r.unpack("<2I")) for _ in range(num_edges))
-    cfg = FlowConfig(
-        in_shape=(c, h, w),
-        num_blocks=num_blocks,
-        flows_per_block=flows,
-        squeeze=bool(squeeze),
-        topology=CellTopology(num_nodes, edges),
-        ops=ops,
-        tie_cells_per_block=bool(tie),
-    )
+    n = len(CHECKPOINT_MAGIC)
+    if blob[:n] != CHECKPOINT_MAGIC:
+        raise UsageError(f"{path}: not a flow checkpoint (bad magic; expected "
+                         f"the {CHECKPOINT_MAGIC.decode()} format)")
+    end = n + 4 + int.from_bytes(blob[n : n + 4], "little")
+    try:  # ConfigError, UnicodeDecodeError and JSONDecodeError are ValueErrors
+        header = json.loads(blob[n + 4 : end].decode("utf-8"))
+        if not isinstance(header, dict) or set(header) != {"flow", "steps"}:
+            raise ConfigError("the header must be an object with the keys flow and steps")
+        cfg = FlowConfig.from_dict(header["flow"])
+        steps = decode_value(header["steps"],
+                             tuple[tuple[bool, tuple[int, ...], tuple[int, ...]], ...], "steps")
+        if len(steps) != cfg.num_blocks * cfg.flows_per_block:
+            raise ConfigError(f"{len(steps)} flow steps, expected "
+                              f"{cfg.num_blocks * cfg.flows_per_block}")
+        channels = [c for c, _, _ in cfg.block_shapes() for _ in range(cfg.flows_per_block)]
+    except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
+        raise UsageError(f"{path}: bad checkpoint header: {exc}") from exc
+    # Checked before the model is built, so that its size is bounded by the
+    # header's own length.
+    for (_, perm, sign), c in zip(steps, channels):
+        if len(perm) != c or sorted(perm) != list(range(c)):
+            raise UsageError(f"{path}: 1x1 permutation is not a permutation of {c} channels")
+        if len(sign) != c or any(s not in (1, -1) for s in sign):
+            raise UsageError(f"{path}: 1x1 sign entries must be {c} times +1 or -1")
     model = FlowModel(cfg, seed=0)
-    for steps, (cb, _, _) in zip(model.blocks, cfg.block_shapes()):
-        for step in steps:
-            (init_flag,) = r.unpack("<B")
-            step.actnorm.initialized = bool(init_flag)
-            perm = np.frombuffer(r.take(4 * cb), dtype="<u4").astype(np.int64)
-            sign = np.frombuffer(r.take(cb), dtype="<i1").astype(np.float64)
-            if not np.array_equal(np.sort(perm), np.arange(cb)):
-                raise UsageError(f"{path}: 1x1 permutation is not a permutation of {cb} channels")
-            if not np.all(np.abs(sign) == 1.0):
-                raise UsageError(f"{path}: 1x1 sign entries must be +1 or -1")
-            step.inv1x1.perm, step.inv1x1.sign_diag = perm, sign
-    for name, p in model.parameters():
-        raw = r.take(8 * p.data.size)
-        p.data = np.frombuffer(raw, dtype="<f8").reshape(p.data.shape).copy()
-    if r.pos != len(blob):
-        raise UsageError(f"{path}: {len(blob) - r.pos} trailing bytes in checkpoint")
+    for step, (initialized, perm, sign) in zip(
+            (step for block in model.blocks for step in block), steps):
+        step.actnorm.initialized = initialized
+        step.inv1x1.perm = np.array(perm, dtype=np.int64)
+        step.inv1x1.sign_diag = np.array(sign, dtype=np.float64)
+    params = model.parameters()
+    expected = 8 * sum(p.data.size for _, p in params)
+    if len(blob) - end != expected:
+        raise UsageError(f"{path}: expected {expected} parameter bytes, found {len(blob) - end}")
+    for _, p in params:
+        p.data = np.frombuffer(blob, dtype="<f8", count=p.data.size,
+                               offset=end).reshape(p.data.shape).copy()
+        end += 8 * p.data.size
     return model

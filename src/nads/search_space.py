@@ -117,15 +117,11 @@ class ArchSample:
     """One architecture drawn from the distribution.
 
     weights rows are one-hot (discrete) or simplex vectors (relaxed), in the
-    same row layout as the distribution's logits. `seed` records the Gumbel
-    noise stream that produced the sample, so the relaxed weights can be
-    rebuilt differentiably from live logits.
+    same row layout as the distribution's logits.
     """
 
     mode: str  # "relaxed" | "discrete"
     weights: np.ndarray
-    seed: int | None = None
-    tau: float | None = None
 
     def __post_init__(self):
         if self.mode not in ("relaxed", "discrete"):
@@ -158,7 +154,7 @@ def sample_relaxed(dist: ArchDistribution, seed: int) -> ArchSample:
     noise = gumbel_noise(dist.logits.shape, seed)
     with ad.no_grad():
         w = relaxed_weights(Tensor(dist.logits), noise, dist.tau)
-    return ArchSample("relaxed", w.data, seed=seed, tau=dist.tau)
+    return ArchSample("relaxed", w.data)
 
 
 def sample_discrete(dist: ArchDistribution, seed: int) -> ArchSample:
@@ -166,7 +162,7 @@ def sample_discrete(dist: ArchDistribution, seed: int) -> ArchSample:
     choice = np.argmax(dist.logits + noise, axis=1)
     w = np.zeros_like(dist.logits)
     w[np.arange(len(choice)), choice] = 1.0
-    return ArchSample("discrete", w, seed=seed)
+    return ArchSample("discrete", w)
 
 
 def arch_log_prob(dist: ArchDistribution, sample: ArchSample) -> float:

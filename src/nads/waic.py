@@ -182,8 +182,11 @@ def write_report_csv(report: WaicReport, path) -> None:
 
 
 def read_report_csv(path) -> WaicReport:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
     if not rows or rows[0] != ["sample_id", "mean", "variance", "waic"]:
         raise DataError(f"{path}: expected a WAIC report CSV header")
     body = rows[1:]

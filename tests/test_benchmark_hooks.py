@@ -1,8 +1,10 @@
 """The benchmark under perfbench/ rebinds nads functions and methods by name
 and imports a few CLI helpers. A refactor that removes one of those names
-breaks the benchmark, so this test installs and uninstalls the tracer and
-makes the imports. It runs in a subprocess, so that an install that fails
-half way cannot leave patched modules behind in the test process."""
+breaks the benchmark, so this test installs and uninstalls the tracer,
+makes the imports, and reads back the phi.json that the desk-ensemble
+workload writes for itself. It runs in a subprocess, so that an install
+that fails half way cannot leave patched modules behind in the test
+process."""
 
 import subprocess
 import sys
@@ -12,11 +14,18 @@ ROOT = Path(__file__).resolve().parent.parent
 
 PROBE = """
 import sys
+import tempfile
+from pathlib import Path
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import tracer
 installed = tracer.Installed(tracer.Tracer())
 installed.uninstall()
-from nads.cli import PROFILES, flow_config_from, save_distribution
+from nads.cli import PROFILES, flow_config_from, load_distribution, save_distribution
+import worker
+with tempfile.TemporaryDirectory() as d:  # the phi.json desk-ensemble starts from
+    worker.WORKLOADS["desk-ensemble"].write_inputs(Path(d), 1)
+    dist, flow = load_distribution(Path(d) / "phi.json")
+    assert flow == flow_config_from(PROFILES["desk"]) and not dist.logits.any()
 print("ok")
 """
 

@@ -6,7 +6,6 @@ import dataclasses
 import hashlib
 import json
 import shutil
-import struct
 
 import numpy as np
 import pytest
@@ -15,7 +14,7 @@ from hypothesis import strategies as st
 
 from nads.cli import PROFILES, main, retrain_config_from, search_config_from
 from nads.errors import ConfigError
-from nads.flow_core import FlowConfig
+from nads.flow_core import CHECKPOINT_MAGIC, FlowConfig
 from nads.trainer import RetrainConfig, SearchConfig, TauSchedule
 from nads.data import load_points_csv, read_idx
 from nads.waic import read_loglik_csv, read_report_csv, waic_per_sample
@@ -99,23 +98,36 @@ def _copy_ensemble(toy_pipeline, dst, patch, rehash=True):
     return dst / "ensemble.json"
 
 
-def _step0_perm_offset(blob):
-    """Offset of step 0's 1x1 permutation (see the checkpoint layout in flow_core)."""
-    (num_ops,) = struct.unpack_from("<I", blob, 32)
-    _, num_edges = struct.unpack_from("<2I", blob, 36 + num_ops)
-    return 36 + num_ops + 8 + 8 * num_edges + 1
+def _set_header(raw):
+    """A patch that replaces the checkpoint's JSON header with the bytes `raw`
+    (see the checkpoint layout in flow_core)."""
+    def patch(blob):
+        n = len(CHECKPOINT_MAGIC)
+        end = n + 4 + int.from_bytes(blob[n : n + 4], "little")
+        blob[n:end] = len(raw).to_bytes(4, "little") + raw
+    return patch
 
 
-def _set_op_id(blob):
-    blob[36] = 9  # one past the last of the 9 operation kinds
+def _edit_header(edit):
+    """A patch that lets `edit` rewrite the checkpoint's decoded JSON header."""
+    def patch(blob):
+        n = len(CHECKPOINT_MAGIC)
+        header = json.loads(blob[n + 4 : n + 4 + int.from_bytes(blob[n : n + 4], "little")])
+        edit(header)
+        _set_header(json.dumps(header).encode())(blob)
+    return patch
 
 
-def _repeat_perm(blob):
-    struct.pack_into("<2I", blob, _step0_perm_offset(blob), 0, 0)
+def _set_op_id(header):
+    header["flow"]["ops"][0] = "conv_7x7"  # not one of the operation kinds
 
 
-def _bad_sign(blob):
-    blob[_step0_perm_offset(blob) + 8] = 2  # the toy flow's first block has 2 channels
+def _repeat_perm(header):
+    header["steps"][0][1] = [0, 0]  # the toy flow's first block has 2 channels
+
+
+def _bad_sign(header):
+    header["steps"][0][2][0] = 2
 
 
 def _phi_args(text):
@@ -167,16 +179,61 @@ def _search_csv_args(text):
     return make
 
 
-def _arch_op_args(op):
+def _member_args(edit):
+    """Score with a copy of the toy ensemble whose first member entry `edit`
+    rewrote."""
     def make(tmp_path, toy_pipeline):
         dst = tmp_path / "ens"
         shutil.copytree(toy_pipeline["root"] / "ensemble", dst)
         manifest = json.loads((dst / "ensemble.json").read_text())
-        manifest["members"][0]["arch_ops"][0] = op
+        edit(manifest["members"][0])
         (dst / "ensemble.json").write_text(json.dumps(manifest))
         return ["score", "--ensemble", str(dst / "ensemble.json"),
                 "--data", str(toy_pipeline["data"]), "--split", "test"]
     return make
+
+
+def _arch_op_args(op):
+    return _member_args(lambda e: e["arch_ops"].__setitem__(0, op))
+
+
+def _toy_argv(command, toy_pipeline):
+    run, data = toy_pipeline["root"], str(toy_pipeline["data"])
+    ens = str(run / "ensemble" / "ensemble.json")
+    return {
+        "search": ["search", "--profile", "toy2d", "--data", data, "--dry-run"],
+        "ensemble": ["ensemble", "--profile", "toy2d", "--data", data,
+                     "--phi", str(run / "search" / "phi.json")],
+        "score": ["score", "--ensemble", ens, "--data", data, "--split", "test"],
+        "eval": ["eval", "--in-report", str(run / "score_in" / "waic_report.csv"),
+                 "--out-report", str(run / "score_out" / "waic_report.csv")],
+        "generate": ["generate", "--ensemble", ens],
+    }[command]
+
+
+def _flag_args(command, flag, value):
+    """The toy run's `command` with `flag` set to `value(tmp_path)`."""
+    def make(tmp_path, toy_pipeline):
+        argv, v = _toy_argv(command, toy_pipeline), value(tmp_path)
+        if flag in argv:
+            argv[argv.index(flag) + 1] = v
+        else:
+            argv += [flag, v]
+        return argv
+    return make
+
+
+def _holding(content: bytes, name: str):
+    """A flag value: a file `name` in the test directory that holds `content`."""
+    def value(tmp_path):
+        (tmp_path / name).write_bytes(content)
+        return str(tmp_path / name)
+    return value
+
+
+A_DIRECTORY = str  # a flag value: the test's own directory
+NOT_UTF8 = b"\xff\xfe\x00\x81"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
 
 
 def _config_args(text, command="search"):
@@ -192,6 +249,8 @@ def _config_args(text, command="search"):
 
 
 def _checkpoint_args(patch):
+    """Score with a copy of the toy ensemble whose member_00 bytes `patch`
+    edited, its recorded hash updated to match."""
     def make(tmp_path, toy_pipeline):
         manifest = _copy_ensemble(toy_pipeline, tmp_path / "ens", patch)
         return ["score", "--ensemble", str(manifest), "--data", str(toy_pipeline["data"]),
@@ -207,16 +266,45 @@ def _checkpoint_args(patch):
     _phi_edit_args(lambda d: d.update(num_cell_groups=True)),
     _phi_edit_args(lambda d: d.update(logits=[[str(v) for v in row] for row in d["logits"]])),
     _phi_edit_args(lambda d: d["logits"][0].__setitem__(0, float("nan"))),
-    _phi_edit_args(lambda d: d.update(ops=d["ops"][::-1])),
-    _phi_edit_args(lambda d: d["topology"].update(edges=[[0, 1], [0, 2]])),
+    _phi_edit_args(lambda d: d.update(ops=d["flow"]["ops"], num_cell_groups=1, topology={
+        "num_nodes": d["flow"]["num_nodes"], "edges": d["flow"]["edges"]})),
+    _phi_edit_args(lambda d: d["logits"].append(d["logits"][0])),
     _phi_edit_args(lambda d: d.update(logits=[[0.0], [0.0, 0.0]])),
     _bad_manifest_args,
     _bad_report_args,
-    _checkpoint_args(_set_op_id),
-    _checkpoint_args(_repeat_perm),
-    _checkpoint_args(_bad_sign),
+    _checkpoint_args(_edit_header(_set_op_id)),
+    _checkpoint_args(_edit_header(_repeat_perm)),
+    _checkpoint_args(_edit_header(_bad_sign)),
+    _checkpoint_args(lambda blob: blob.__setitem__(slice(0, 8), b"NADSFLW1")),
+    _checkpoint_args(_set_header(b"{not json")),
+    _checkpoint_args(_edit_header(lambda h: h.update(extra=1))),
+    _checkpoint_args(_edit_header(lambda h: h["steps"].pop())),
+    _checkpoint_args(lambda blob: blob.pop()),
+    _checkpoint_args(lambda blob: blob.append(0)),
     _arch_op_args(2),
     _arch_op_args(-1),
+    _member_args(lambda e: e.update(checkpoint=7)),
+    _member_args(lambda e: e.update(sha256=None)),
+    _member_args(lambda e: e.update(raw_log_mass="nan")),
+    _member_args(lambda e: e.update(raw_log_mass=float("nan"))),
+    _member_args(lambda e: e.update(raw_log_mass=True)),
+    _flag_args("search", "--config", A_DIRECTORY),
+    _flag_args("search", "--data", A_DIRECTORY),
+    _flag_args("score", "--data", A_DIRECTORY),
+    _flag_args("search", "--data", _holding(b'{"splits": {"train": "."}}', "data.json")),
+    _flag_args("search", "--data", _holding(b'{"splits": {"train": 5}}', "data.json")),
+    _flag_args("search", "--data", _holding(NOT_UTF8, "data.json")),
+    _flag_args("score", "--data", _holding(b"x0,x1\n" + NOT_UTF8, "points.csv")),
+    _flag_args("score", "--data", _holding(b"x0,x1\n" + b"1" * 200_000 + b",2\n",
+                                            "points.csv")),
+    _flag_args("eval", "--in-report", _holding(NOT_UTF8, "report.csv")),
+    _flag_args("generate", "--temperature", lambda _: "nan"),
+    _flag_args("generate", "--temperature", lambda _: "inf"),
+    _config_args(DEEP_JSON),
+    _phi_args(DEEP_JSON),
+    _flag_args("search", "--data", _holding(DEEP_JSON.encode(), "data.json")),
+    _flag_args("score", "--ensemble", _holding(DEEP_JSON.encode(), "ensemble.json")),
+    _checkpoint_args(_set_header(DEEP_JSON.encode())),
     _score_csv_args("x0,x1\n1.0,2.0\n3.0\n"),
     _score_csv_args("x0,x1\n1.0,two\n"),
     _search_csv_args("x0,x1\n1.0,2.0\nnan,0.5\n"),
@@ -234,10 +322,19 @@ def _checkpoint_args(patch):
     _config_args('{"search": [1]}'),
     _config_args('{"retrain": {"ensemble_size": 2.5}}', command="ensemble"),
 ], ids=["phi-empty-object", "phi-not-json", "phi-tau-string", "phi-groups-float",
-        "phi-groups-bool", "phi-logits-strings", "phi-logits-nan", "phi-ops-disagree-with-flow",
-        "phi-topology-disagrees-with-flow", "phi-logits-ragged", "data-manifest-not-json", "report-non-numeric",
-        "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2",
-        "arch-op-past-menu", "arch-op-negative", "points-ragged-row", "points-non-numeric",
+        "phi-groups-bool", "phi-logits-strings", "phi-logits-nan", "phi-six-key-layout",
+        "phi-logits-rows-disagree-with-flow", "phi-logits-ragged", "data-manifest-not-json",
+        "report-non-numeric", "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2",
+        "checkpoint-magic-v1", "checkpoint-header-not-json", "checkpoint-header-unknown-key",
+        "checkpoint-step-count", "checkpoint-payload-short", "checkpoint-trailing-byte",
+        "arch-op-past-menu", "arch-op-negative", "member-checkpoint-int", "member-sha256-null",
+        "member-mass-string", "member-mass-nan", "member-mass-bool", "config-directory",
+        "data-manifest-directory", "score-data-directory", "data-split-directory",
+        "data-split-not-string", "data-manifest-not-utf8", "points-not-utf8",
+        "points-field-too-long", "report-not-utf8", "temperature-nan", "temperature-inf",
+        "config-deeply-nested", "phi-deeply-nested", "data-manifest-deeply-nested",
+        "ensemble-deeply-nested", "checkpoint-header-deeply-nested",
+        "points-ragged-row", "points-non-numeric",
         "train-nan", "train-inf", "config-int-as-string", "config-tau-not-object",
         "config-float-as-string", "config-int-as-float", "config-float-as-bool",
         "config-unknown-key", "config-seed-string", "config-seed-float", "config-seed-bool",
@@ -245,6 +342,21 @@ def _checkpoint_args(patch):
 def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
     argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("make_args", [
+    _flag_args("ensemble", "--phi", A_DIRECTORY),
+    _flag_args("score", "--ensemble", A_DIRECTORY),
+    _flag_args("eval", "--in-report", lambda tmp_path: str(tmp_path / "absent.csv")),
+    _flag_args("eval", "--in-report", A_DIRECTORY),
+    _member_args(lambda e: e.update(checkpoint=".")),
+], ids=["phi-directory", "ensemble-directory", "report-missing", "report-directory",
+        "member-checkpoint-directory"])
+def test_missing_artifact_exits_4(make_args, tmp_path, toy_pipeline, capsys):
+    argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 
@@ -425,7 +537,7 @@ class TestGenerateIdx:
         # build a minimal single-channel image ensemble via the library, then
         # drive only the generate command
         import nads.ensemble as ens_mod
-        from nads.flow_core import FlowConfig
+        from nads.flow_core import CHECKPOINT_MAGIC, FlowConfig
         from nads.search_space import ArchDistribution, CellTopology
         from nads.trainer import RetrainConfig
 

@@ -12,8 +12,16 @@ from hypothesis import strategies as st
 
 from nads import autodiff as ad
 from nads.autodiff import Tensor
-from nads.errors import ConfigError, NotInitializedError, NumericError, ShapeError, UsageError
+from nads.errors import (
+    ConfigError,
+    NadsError,
+    NotInitializedError,
+    NumericError,
+    ShapeError,
+    UsageError,
+)
 from nads.flow_core import (
+    CHECKPOINT_MAGIC,
     ActNorm,
     AffineCoupling,
     FlowConfig,
@@ -607,6 +615,12 @@ class TestCheckpoint:
         with pytest.raises(UsageError, match="magic"):
             load_checkpoint(path)
 
+    def test_older_format_refused_naming_the_current_one(self, tmp_path, valid_checkpoint):
+        path = tmp_path / "v1.nadsflw"
+        path.write_bytes(b"NADSFLW1" + valid_checkpoint.read_bytes()[8:])
+        with pytest.raises(UsageError, match="NADSFLW2"):
+            load_checkpoint(path)
+
     def test_save_is_deterministic(self, tmp_path):
         model = make_model(perturb=0.02, seed=50)
         mark_initialized(model)
@@ -614,3 +628,64 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    model = make_model(perturb=0.02, seed=60)
+    mark_initialized(model)
+    path = tmp_path_factory.mktemp("checkpoint") / "valid.nadsflw"
+    save_checkpoint(model, path)
+    return path
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(st.text(max_size=6), kids,
+                                                              max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_any_header_or_truncation_loads_or_raises_nads_error(valid_checkpoint, data):
+    """Any JSON value as the header of an otherwise valid checkpoint (the
+    valid header with one value replaced included), and any truncation of a
+    valid checkpoint, either loads or raises NadsError."""
+    blob = valid_checkpoint.read_bytes()
+    n = len(CHECKPOINT_MAGIC)
+    end = n + 4 + int.from_bytes(blob[n : n + 4], "little")
+    valid = json.loads(blob[n + 4 : end])
+
+    def with_header(header):
+        raw = json.dumps(header).encode()
+        return blob[: n] + len(raw).to_bytes(4, "little") + raw + blob[end:]
+
+    def flow_value(key_value):
+        key, value = key_value
+        return {**valid, "flow": {**valid["flow"], key: value}}
+
+    def step_value(where):
+        k, i, value = where
+        steps = [list(step) for step in valid["steps"]]
+        steps[k][i] = value
+        return {**valid, "steps": steps}
+
+    keys = st.sampled_from(["flow", "steps"]) | st.text(max_size=6)
+    blobs = st.one_of(
+        JSON_VALUES.map(with_header),
+        st.dictionaries(keys, JSON_VALUES, max_size=3).map(with_header),
+        st.tuples(st.sampled_from(sorted(valid["flow"])), JSON_VALUES).map(flow_value)
+        .map(with_header),
+        st.tuples(st.integers(0, len(valid["steps"]) - 1), st.integers(0, 2), JSON_VALUES)
+        .map(step_value).map(with_header),
+        st.integers(0, len(blob) - 1).map(lambda k: blob[:k]),
+    )
+    path = valid_checkpoint.with_name("candidate.nadsflw")
+    path.write_bytes(data.draw(blobs))
+    try:
+        model = load_checkpoint(path)
+    except NadsError:
+        return
+    assert isinstance(model, FlowModel)

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.special
 
 from .errors import ShapeError, UsageError
 
@@ -221,7 +220,8 @@ class Tensor:
         return _make(np.log(self.data), (self,), lambda g: (g / self.data,))
 
     def sigmoid(self):
-        out_data = scipy.special.expit(self.data)
+        # exp(log_sigmoid(x)): no overflow at either tail
+        out_data = np.exp(-np.logaddexp(0.0, -self.data))
         return _make(out_data, (self,), lambda g: (g * out_data * (1.0 - out_data),))
 
     def log_sigmoid(self):

@@ -63,12 +63,10 @@ class EnsembleBuildError(NadsError, RuntimeError):
 
 def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConfig,
                    num_members: int | None = None, seed: int = 0,
-                   warm_start: FlowModel | None = None,
                    provenance: dict | None = None) -> Ensemble:
     """Draw discrete architectures and retrain each with an independent seed.
     Duplicate draws are kept as distinct members, so an architecture counts
-    as often as it was drawn; `warm_start` seeds every member's parameters
-    from an existing model instead of a fresh initialization."""
+    as often as it was drawn."""
     m = config.ensemble_size if num_members is None else num_members
     if m < 1:
         raise ConfigError("ensemble size must be at least 1")
@@ -77,12 +75,11 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
         arch = sample_discrete(dist, child_seed(seed, "arch", j))
         member_cfg = replace(config, seed=child_seed(seed, "member", j))
         try:
-            model = retrain(arch, data, member_cfg, init_from=warm_start)
+            model = retrain(arch, data, member_cfg)
         except NadsError as exc:
             raise EnsembleBuildError(f"retraining member {j} failed: {exc}", members) from exc
         members.append(EnsembleMember(arch, model, raw_log_mass=arch_log_prob(dist, arch)))
-    info = {"seed": seed, "num_members": m, "tau": dist.tau,
-            "warm_start": warm_start is not None}
+    info = {"seed": seed, "num_members": m, "tau": dist.tau}
     info.update(provenance or {})
     return Ensemble(members, provenance=info)
 

@@ -4,7 +4,10 @@ multi-scale model with exact log-determinants and exact inverses.
 
 Numerics are float64 throughout. The forward/log-density path runs on the
 autodiff tape (so one backward call yields analytic gradients for every
-parameter); the inverse path is plain numpy.
+parameter); the inverse path is plain numpy. The 1x1 mix starts from a
+partial-pivot LU of a random rotation (`_plu`) and is inverted by forward
+substitution through L and back substitution through U, one channel row at
+a time.
 """
 
 from __future__ import annotations
@@ -12,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from .autodiff import Tensor
@@ -26,6 +29,7 @@ from .search_space import (
     ArchSample,
     Cell,
     CellTopology,
+    op_param_shapes,
 )
 from .seeding import rng_for
 
@@ -89,6 +93,27 @@ class ActNorm:
         return [("actnorm/log_scale", self.log_scale), ("actnorm/bias", self.bias)]
 
 
+def _plu(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Partial-pivot LU of a nonsingular square matrix: (perm, L, U) with
+    a[i] = (L @ U)[perm[i]], L unit lower triangular and U upper triangular.
+    Each pivot is the first entry of largest magnitude in its column, the
+    row LAPACK's getrf picks."""
+    u = np.array(a, dtype=np.float64)
+    c = len(u)
+    lo = np.eye(c)
+    rows = np.arange(c)  # row k of L @ U is row rows[k] of a
+    for k in range(c - 1):
+        p = k + int(np.argmax(np.abs(u[k:, k])))
+        u[[k, p]] = u[[p, k]]
+        lo[[k, p], :k] = lo[[p, k], :k]
+        rows[[k, p]] = rows[[p, k]]
+        lo[k + 1 :, k] = u[k + 1 :, k] / u[k, k]
+        u[k + 1 :, k + 1 :] -= np.outer(lo[k + 1 :, k], u[k, k + 1 :])
+    perm = np.empty(c, dtype=np.int64)
+    perm[rows] = np.arange(c)
+    return perm, lo, np.triu(u)
+
+
 class Invertible1x1:
     """Channel mixing by W = P L (U + diag(sign * exp(s))).
 
@@ -99,8 +124,7 @@ class Invertible1x1:
     def __init__(self, channels: int, rng: np.random.Generator):
         self.channels = channels
         w0 = np.linalg.qr(rng.normal(size=(channels, channels)))[0]
-        p, lo, up = scipy.linalg.lu(w0)
-        self.perm = np.argmax(p, axis=1).astype(np.int64)  # row i of P picks source perm[i]
+        self.perm, lo, up = _plu(w0)  # row i of P picks source perm[i]
         diag = np.diag(up).copy()
         self.sign_diag = np.sign(diag)
         self.lower = Tensor(np.tril(lo, -1), requires_grad=True)
@@ -132,12 +156,15 @@ class Invertible1x1:
         n, c, h, w = y.shape
         with ad.no_grad():
             _, lo, up = self._factors()
+        lo, up = lo.data, up.data
         rhs = y.transpose(1, 0, 2, 3).reshape(c, -1)
         # P^T y : entry perm[i] of the solve input is row i of y
-        pt = np.empty_like(rhs)
-        pt[self.perm] = rhs
-        mid = scipy.linalg.solve_triangular(lo.data, pt, lower=True, unit_diagonal=True)
-        x = scipy.linalg.solve_triangular(up.data, mid, lower=False)
+        x = np.empty_like(rhs)
+        x[self.perm] = rhs
+        for i in range(c):  # L has a unit diagonal
+            x[i] -= lo[i, :i] @ x[:i]
+        for i in reversed(range(c)):
+            x[i] = (x[i] - up[i, i + 1 :] @ x[i + 1 :]) / up[i, i]
         return x.reshape(c, n, h, w).transpose(1, 0, 2, 3)
 
     def parameters(self):
@@ -292,6 +319,22 @@ class FlowConfig:
     def num_cell_groups(self) -> int:
         per_block = 1 if self.tie_cells_per_block else self.flows_per_block
         return sum(per_block for has in self.coupling_flags() if has)
+
+
+def num_parameters(config: FlowConfig) -> int:
+    """How many float64 parameters FlowModel(config) holds, counted from the
+    config alone: per step, actnorm's 2c, the 1x1 mix's 2c^2 + c and, when
+    coupled, the cell's candidate-op kernels on every edge and its projection."""
+    total = 0
+    for (c, _, _), coupled in zip(config.block_shapes(), config.coupling_flags()):
+        step = 2 * c + 2 * c * c + c
+        if coupled:
+            c_cond, c_tr = (c + 1) // 2, c - (c + 1) // 2
+            kernels = sum(math.prod(shape) for op in config.ops
+                          for shape in op_param_shapes(op, c_cond))
+            step += config.topology.num_edges * kernels + 2 * c_tr * c_cond + 2 * c_tr
+        total += config.flows_per_block * step
+    return total
 
 
 def decode_config(cls, doc, where: str, **given):
@@ -523,10 +566,6 @@ class FlowModel:
         with ad.no_grad():
             self._forward(Tensor(batch), weights, mode, initialize=True)
 
-    @property
-    def actnorm_initialized(self) -> bool:
-        return all(s.actnorm.initialized for steps in self.blocks for s in steps)
-
 
 def backward(model: FlowModel, loss: Tensor, upstream=None) -> dict[str, np.ndarray]:
     """Accumulate gradients of `loss` (seeded by `upstream`) into the model
@@ -608,23 +647,22 @@ def load_checkpoint(path) -> FlowModel:
     except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
         raise UsageError(f"{path}: bad checkpoint header: {exc}") from exc
     # Checked before the model is built, so that its size is bounded by the
-    # header's own length.
+    # file's own length.
     for (_, perm, sign), c in zip(steps, channels):
         if len(perm) != c or sorted(perm) != list(range(c)):
             raise UsageError(f"{path}: 1x1 permutation is not a permutation of {c} channels")
         if len(sign) != c or any(s not in (1, -1) for s in sign):
             raise UsageError(f"{path}: 1x1 sign entries must be {c} times +1 or -1")
+    expected = 8 * num_parameters(cfg)
+    if len(blob) - end != expected:
+        raise UsageError(f"{path}: expected {expected} parameter bytes, found {len(blob) - end}")
     model = FlowModel(cfg, seed=0)
     for step, (initialized, perm, sign) in zip(
             (step for block in model.blocks for step in block), steps):
         step.actnorm.initialized = initialized
         step.inv1x1.perm = np.array(perm, dtype=np.int64)
         step.inv1x1.sign_diag = np.array(sign, dtype=np.float64)
-    params = model.parameters()
-    expected = 8 * sum(p.data.size for _, p in params)
-    if len(blob) - end != expected:
-        raise UsageError(f"{path}: expected {expected} parameter bytes, found {len(blob) - end}")
-    for _, p in params:
+    for _, p in model.parameters():
         p.data = np.frombuffer(blob, dtype="<f8", count=p.data.size,
                                offset=end).reshape(p.data.shape).copy()
         end += 8 * p.data.size

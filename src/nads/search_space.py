@@ -207,7 +207,7 @@ class Cell:
             for op in self.ops:
                 per_op[op] = [
                     Tensor(rng.normal(0.0, KERNEL_INIT_STD, size=shape), requires_grad=True)
-                    for shape in _op_param_shapes(op, c)
+                    for shape in op_param_shapes(op, c)
                 ]
             self.edge_params.append(per_op)
         # Projection starts at zero so a fresh coupling layer is benign.
@@ -297,7 +297,7 @@ class Cell:
         return None if acc is None else acc.reshape(src.shape)
 
 
-def _op_param_shapes(op: str, channels: int) -> list[tuple[int, ...]]:
+def op_param_shapes(op: str, channels: int) -> list[tuple[int, ...]]:
     if op == "sep_conv_3x3":
         return [(channels, 1, 3, 3), (channels, channels, 1, 1)]
     if op == "sep_conv_5x5":

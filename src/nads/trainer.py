@@ -417,13 +417,9 @@ class SearchState:
 # -- fixed-architecture retraining ----------------------------------------------------
 
 
-def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig,
-            init_from: FlowModel | None = None) -> FlowModel:
-    """Maximum-likelihood training of one fixed discrete architecture.
-
-    Parameters start fresh and independent by default; `init_from` warm
-    starts from an existing model with the same flow configuration (e.g. the
-    search phase's shared weights)."""
+def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig) -> FlowModel:
+    """Maximum-likelihood training of one fixed discrete architecture from a
+    fresh, independently seeded initialization."""
     if arch.mode != "discrete":
         raise ConfigError("retraining requires a discrete architecture sample")
     x = np.asarray(data, dtype=np.float64)
@@ -431,20 +427,7 @@ def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig,
         raise ConfigError(f"dataset must be a nonempty (N, C, H, W) array, got {x.shape}")
 
     model = FlowModel(config.flow, seed=child_seed(config.seed, "retrain_init"))
-    if init_from is not None:
-        if init_from.config != config.flow:
-            raise ConfigError("warm-start model configuration does not match")
-        for (name, p), (other_name, q) in zip(model.parameters(), init_from.parameters()):
-            if name != other_name or p.data.shape != q.data.shape:
-                raise ConfigError(f"warm-start parameter mismatch at {name}")
-            p.data = q.data.copy()
-        for steps, other_steps in zip(model.blocks, init_from.blocks):
-            for step, other in zip(steps, other_steps):
-                step.actnorm.initialized = other.actnorm.initialized
-                step.inv1x1.perm = other.inv1x1.perm.copy()
-                step.inv1x1.sign_diag = other.inv1x1.sign_diag.copy()
-    if not model.actnorm_initialized:
-        model.initialize_actnorm(_draw_batch(x, max(2, config.batch_size), config.seed, -1), arch)
+    model.initialize_actnorm(_draw_batch(x, max(2, config.batch_size), config.seed, -1), arch)
     params = [p for _, p in model.parameters()]
     adam = AdamState.for_params(params)
 

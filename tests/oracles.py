@@ -292,3 +292,12 @@ def reference_retrain_config(doc, seed, args, flow):
         seed=seed,
         grad_clip=float(r.get("grad_clip", 50.0)),
     )
+
+
+def scipy_plu(a):
+    """LAPACK's partial-pivot LU through scipy, as (perm, L, U) with
+    a[i] = (L @ U)[perm[i]]; scipy is a test-only dependency."""
+    import scipy.linalg
+
+    p, lo, up = scipy.linalg.lu(a)
+    return np.argmax(p, axis=1), lo, up

@@ -2,6 +2,8 @@
 finite differences, plus the convolution/pooling forward values against naive
 loop implementations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,20 @@ class TestElementwise:
         assert np.isfinite(out).all()
         assert out[0] == pytest.approx(-800.0)
         assert out[1] == pytest.approx(0.0, abs=1e-12)
+
+    def test_sigmoid_stable_at_tails(self):
+        x = np.array([-800.0, -40.0, -1.5, 0.0, 2.0, 40.0, 800.0])
+        t = Tensor(x, requires_grad=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = t.sigmoid()
+            out.sum().backward()
+        assert np.isfinite(out.data).all()
+        assert ((out.data >= 0.0) & (out.data <= 1.0)).all()
+        assert out.data[0] == 0.0 and out.data[-1] == 1.0 and out.data[3] == 0.5
+        with ad.no_grad():
+            fd = finite_diff_grad(lambda v: Tensor(v).sigmoid().sum().item(), x.copy())
+        np.testing.assert_allclose(t.grad, fd, rtol=1e-6, atol=1e-9)
 
     def test_clamp_min(self):
         t = Tensor(np.array([-2.0, 0.5, 3.0]), requires_grad=True)

@@ -6,6 +6,9 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,18 @@ from nads.data import load_points_csv, read_idx
 from nads.waic import read_loglik_csv, read_report_csv, waic_per_sample
 
 from oracles import reference_retrain_config, reference_search_config
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_cli_import_leaves_scipy_out():
+    """The runtime needs numpy only; the CLI import must not pull in scipy."""
+    code = f"import sys; sys.path.insert(0, {str(SRC)!r}); import nads.cli; " \
+           "print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 class TestExitCodes:
@@ -116,6 +131,12 @@ def _edit_header(edit):
         edit(header)
         _set_header(json.dumps(header).encode())(blob)
     return patch
+
+
+def _wide_header(header):
+    """A 64-channel one-step flow: ~1.9 MB of parameters that the file lacks."""
+    flow = FlowConfig(in_shape=(64, 1, 1), num_blocks=1, flows_per_block=1, squeeze=False)
+    header.update(flow=flow.to_dict(), steps=[[True, list(range(64)), [1] * 64]])
 
 
 def _set_op_id(header):
@@ -281,6 +302,7 @@ def _checkpoint_args(patch):
     _checkpoint_args(_edit_header(lambda h: h["steps"].pop())),
     _checkpoint_args(lambda blob: blob.pop()),
     _checkpoint_args(lambda blob: blob.append(0)),
+    _checkpoint_args(_edit_header(_wide_header)),
     _arch_op_args(2),
     _arch_op_args(-1),
     _member_args(lambda e: e.update(checkpoint=7)),
@@ -327,6 +349,7 @@ def _checkpoint_args(patch):
         "report-non-numeric", "checkpoint-op-id-9", "checkpoint-perm-repeats", "checkpoint-sign-2",
         "checkpoint-magic-v1", "checkpoint-header-not-json", "checkpoint-header-unknown-key",
         "checkpoint-step-count", "checkpoint-payload-short", "checkpoint-trailing-byte",
+        "checkpoint-forged-64-channels",
         "arch-op-past-menu", "arch-op-negative", "member-checkpoint-int", "member-sha256-null",
         "member-mass-string", "member-mass-nan", "member-mass-bool", "config-directory",
         "data-manifest-directory", "score-data-directory", "data-split-directory",

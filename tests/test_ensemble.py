@@ -123,7 +123,7 @@ class TestConvergence:
                 return Tensor(np.full(len(x), TestConvergence.LOGLIK[arch.argmax_ops()[0]]))
 
         monkeypatch.setattr(nads.ensemble, "retrain",
-                            lambda arch, data, config, init_from=None: OracleModel())
+                            lambda arch, data, config: OracleModel())
         single = CellTopology(2, ((0, 1),))
         dist = ArchDistribution(np.log([[0.1, 0.3, 0.6]]), 1.0, self.OPS, single, 1)
         flow = FlowConfig(in_shape=(2, 1, 1), num_blocks=1, flows_per_block=1,

@@ -2,8 +2,10 @@
 brute-force log-determinants, exact inverses, density normalization, analytic
 gradients against finite differences, and the checkpoint format."""
 
+import dataclasses
 import json
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from nads import autodiff as ad
 from nads.autodiff import Tensor
+from nads.cli import PROFILES, flow_config_from
 from nads.errors import (
     ConfigError,
     NadsError,
@@ -29,7 +32,9 @@ from nads.flow_core import (
     Invertible1x1,
     backward,
     load_checkpoint,
+    num_parameters,
     save_checkpoint,
+    _plu,
     _squeeze,
 )
 from nads.search_space import (
@@ -40,7 +45,7 @@ from nads.search_space import (
     sample_relaxed,
 )
 
-from oracles import numerical_logdet
+from oracles import numerical_logdet, scipy_plu
 
 RNG = np.random.default_rng(7)
 CHAIN = CellTopology(num_nodes=3, edges=((0, 1), (1, 2)))
@@ -165,7 +170,52 @@ class TestActNorm:
             ActNorm(1).initialize(np.zeros((1, 1, 2, 2)))
 
 
+LU_SIZES = (1, 2, 3, 4, 8, 16)
+
+
+def rotation(c, seed):
+    """The kind of matrix Invertible1x1 factors: a random rotation."""
+    return np.linalg.qr(np.random.default_rng(seed).normal(size=(c, c)))[0]
+
+
+class TestPLU:
+    @pytest.mark.parametrize("c", LU_SIZES)
+    def test_reconstructs_with_unit_lower_factor(self, c):
+        for seed in range(20):
+            a = rotation(c, seed)
+            perm, lo, up = _plu(a)
+            assert sorted(perm) == list(range(c))
+            np.testing.assert_array_equal(np.diag(lo), 1.0)
+            np.testing.assert_array_equal(lo, np.tril(lo))
+            np.testing.assert_array_equal(up, np.triu(up))
+            pmat = np.zeros((c, c))
+            pmat[np.arange(c), perm] = 1.0
+            np.testing.assert_allclose(pmat @ lo @ up, a, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("c", LU_SIZES)
+    def test_matches_lapack(self, c):
+        pytest.importorskip("scipy")
+        for seed in range(20):
+            a = rotation(c, seed)
+            perm, lo, up = _plu(a)
+            ref_perm, ref_lo, ref_up = scipy_plu(a)
+            np.testing.assert_array_equal(perm, ref_perm)
+            np.testing.assert_allclose(lo, ref_lo, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(up, ref_up, rtol=0, atol=1e-14)
+
+
 class TestInvertible1x1:
+    @pytest.mark.parametrize("c", LU_SIZES)
+    def test_inverse_roundtrips(self, c):
+        layer = Invertible1x1(c, np.random.default_rng(c))
+        rng = np.random.default_rng(100 + c)
+        layer.lower.data += np.tril(rng.normal(0, 0.3, (c, c)), -1)
+        layer.upper.data += np.triu(rng.normal(0, 0.3, (c, c)), 1)
+        x = rng.normal(size=(3, c, 2, 3))
+        with ad.no_grad():
+            y = layer.forward(Tensor(x))[0].data
+        np.testing.assert_allclose(layer.inverse(y), x, rtol=0, atol=1e-12)
+
     def test_logdet_matches_dense_jacobian(self):
         # random invertible 3x3 channel mix on a 3x2x2 input: analytic logdet
         # is H*W*log|det W| and must match the finite-difference Jacobian of
@@ -620,6 +670,37 @@ class TestCheckpoint:
         path.write_bytes(b"NADSFLW1" + valid_checkpoint.read_bytes()[8:])
         with pytest.raises(UsageError, match="NADSFLW2"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("flow", [
+        *(dataclasses.replace(flow_config_from(PROFILES[name]), flows_per_block=2)
+          for name in sorted(PROFILES)),  # two steps each keep the paper profile small
+        FlowConfig(in_shape=(3, 8, 8), num_blocks=2, flows_per_block=2,
+                   tie_cells_per_block=False),
+        FlowConfig(in_shape=(5, 2, 2), num_blocks=2, flows_per_block=2, squeeze=False,
+                   ops=("sep_conv_5x5", "dil_conv_3x3", "zero")),
+    ], ids=[*sorted(PROFILES), "untied", "no-squeeze"])
+    def test_parameter_count_matches_built_model(self, flow):
+        model = FlowModel(flow)
+        assert num_parameters(flow) == sum(p.data.size for _, p in model.parameters())
+
+    def test_forged_wide_header_refused_before_allocating(self, tmp_path):
+        # A 64-channel step holds ~240k parameters (~1.9 MB); the file holds
+        # none of them, so the load must fail without building the model.
+        flow = FlowConfig(in_shape=(64, 1, 1), num_blocks=1, flows_per_block=1,
+                          squeeze=False)
+        header = json.dumps({"flow": flow.to_dict(), "steps": [[True, list(range(64)),
+                                                                [1] * 64]]}).encode()
+        path = tmp_path / "forged.nadsflw"
+        path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header)
+        assert path.stat().st_size < 1024
+        tracemalloc.start()
+        try:
+            with pytest.raises(UsageError, match="parameter bytes"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
     def test_save_is_deterministic(self, tmp_path):
         model = make_model(perturb=0.02, seed=50)

@@ -302,6 +302,28 @@ def zero_grad(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
+def bind_flat(tensors: Sequence[Tensor], flat: np.ndarray | None = None) -> np.ndarray:
+    """Make each tensor's data a view of one float64 vector, in order, and
+    return the vector: `flat` if given, else a new copy of the tensors' data."""
+    sizes = [t.data.size for t in tensors]
+    if flat is None:
+        flat = np.concatenate([t.data for t in tensors], axis=None, dtype=np.float64)
+    if flat.shape != (sum(sizes),):
+        raise ShapeError(f"a vector of shape {flat.shape} cannot hold {sum(sizes)} entries")
+    pos = 0
+    for t, n in zip(tensors, sizes):
+        t.data = flat[pos : pos + n].reshape(t.data.shape)
+        pos += n
+    return flat
+
+
+def flat_grad(tensors: Sequence[Tensor]) -> np.ndarray:
+    """The tensors' gradients as one vector in the layout of `bind_flat`; a
+    tensor that the last backward pass did not reach contributes zeros."""
+    return np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad
+                           for t in tensors], axis=None)
+
+
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = [Tensor._lift(t) for t in tensors]
     data = np.concatenate([t.data for t in tensors], axis=axis)

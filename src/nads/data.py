@@ -55,14 +55,6 @@ class Dataset:
     def num_samples(self) -> int:
         return self.x.shape[0]
 
-    @property
-    def sample_shape(self) -> tuple[int, int, int]:
-        return tuple(self.x.shape[1:])
-
-    @property
-    def dims(self) -> int:
-        return int(np.prod(self.x.shape[1:]))
-
 
 # -- IDX container ------------------------------------------------------------
 
@@ -128,30 +120,6 @@ def dequantize(d: Dataset, seed: int) -> Dataset:
         raise UsageError("dequantize expects a discrete dataset")
     u = rng_for(seed, "dequantize").random(d.x.shape)
     return Dataset((d.x + u) / 256.0, "continuous", d.name, d.split)
-
-
-def standardize(d: Dataset, mean: np.ndarray | None = None,
-                std: np.ndarray | None = None) -> tuple[Dataset, np.ndarray, np.ndarray]:
-    """Per-channel zero-mean/unit-variance shift; returns the stats used so a
-    test split can reuse the train split's."""
-    if d.domain != "continuous":
-        raise UsageError("standardize expects a continuous dataset")
-    if mean is None:
-        mean = d.x.mean(axis=(0, 2, 3))
-    if std is None:
-        std = d.x.std(axis=(0, 2, 3))
-    std = np.where(std < 1e-12, 1.0, std)
-    x = (d.x - mean.reshape(1, -1, 1, 1)) / std.reshape(1, -1, 1, 1)
-    return Dataset(x, "continuous", d.name, d.split), mean, std
-
-
-def bits_per_dim(log_prob, dims: int, domain_scale: float = 256.0) -> np.ndarray:
-    """Negative log-likelihood per dimension in bits, offset so byte data on
-    [0,1) with a uniform density scores exactly log2(domain_scale)."""
-    if dims < 1:
-        raise ConfigError(f"dims must be positive, got {dims}")
-    lp = np.asarray(log_prob, dtype=np.float64)
-    return -lp / (dims * np.log(2.0)) + np.log2(domain_scale)
 
 
 # -- synthetic 2-D families ----------------------------------------------------------

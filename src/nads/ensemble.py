@@ -54,11 +54,7 @@ class Ensemble:
 
 
 class EnsembleBuildError(NadsError, RuntimeError):
-    """Raised when a member fails to retrain; carries the completed members."""
-
-    def __init__(self, message: str, completed: list[EnsembleMember]):
-        super().__init__(f"{message} ({len(completed)} member(s) completed before the failure)")
-        self.completed = completed
+    """Raised when a member fails to retrain."""
 
 
 def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConfig,
@@ -77,7 +73,8 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
         try:
             model = retrain(arch, data, member_cfg)
         except NadsError as exc:
-            raise EnsembleBuildError(f"retraining member {j} failed: {exc}", members) from exc
+            raise EnsembleBuildError(f"retraining member {j} failed: {exc} ({len(members)} "
+                                     "member(s) completed before the failure)") from exc
         members.append(EnsembleMember(arch, model, raw_log_mass=arch_log_prob(dist, arch)))
     info = {"seed": seed, "num_members": m, "tau": dist.tau}
     info.update(provenance or {})
@@ -97,26 +94,17 @@ def ensemble_waic(ens: Ensemble, x: np.ndarray) -> np.ndarray:
     return waic_per_sample(member_logliks(ens, x)).score
 
 
-def generate_samples(source, count: int, temperature: float = 1.0, seed: int = 0,
+def generate_samples(ens: Ensemble, count: int, temperature: float = 1.0, seed: int = 0,
                      clip_range: tuple[float, float] | None = None) -> np.ndarray:
-    """Draw latents at the given temperature and invert them to data space.
-
-    `source` is an Ensemble (a member chosen uniformly per sample) or a single
-    EnsembleMember. With temperature 0 every draw is the latent origin's
-    image."""
+    """Draw latents at the given temperature and invert them to data space,
+    each sample through a member chosen uniformly. With temperature 0 every
+    draw is the latent origin's image."""
     if count < 1:
         raise ConfigError("count must be at least 1")
     if not (np.isfinite(temperature) and temperature >= 0):
         raise ConfigError(f"temperature must be finite and nonnegative, got {temperature}")
-    if isinstance(source, EnsembleMember):
-        members = [source]
-        assignment = np.zeros(count, dtype=int)
-    elif isinstance(source, Ensemble):
-        members = source.members
-        rng = rng_for(seed, "member_choice")
-        assignment = rng.choice(len(members), size=count)
-    else:
-        raise ConfigError(f"cannot sample from {type(source).__name__}")
+    members = ens.members
+    assignment = rng_for(seed, "member_choice").choice(len(members), size=count)
 
     c, h, w = members[0].model.config.in_shape
     out = np.empty((count, c, h, w))
@@ -193,8 +181,7 @@ def load_ensemble(manifest_path) -> Ensemble:
         if hashlib.sha256(ckpt.read_bytes()).hexdigest() != sha256:
             raise DataError(f"member checkpoint {ckpt} does not match its recorded sha256")
         model = load_checkpoint(ckpt)
-        rows = model.config.num_cell_groups() * model.config.topology.num_edges
-        k = len(model.config.ops)
+        rows, k = model.config.logits_shape()
         if len(chosen) != rows or not all(0 <= op < k for op in chosen):
             raise DataError(f"{path}: arch_ops of {name} must be {rows} integers in "
                             f"[0, {k}), got {list(chosen)!r}")

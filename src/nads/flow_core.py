@@ -320,6 +320,10 @@ class FlowConfig:
         per_block = 1 if self.tie_cells_per_block else self.flows_per_block
         return sum(per_block for has in self.coupling_flags() if has)
 
+    def logits_shape(self) -> tuple[int, int]:
+        """(rows, ops) of the architecture logits: one row per cell edge."""
+        return self.num_cell_groups() * self.topology.num_edges, len(self.ops)
+
 
 def num_parameters(config: FlowConfig) -> int:
     """How many float64 parameters FlowModel(config) holds, counted from the
@@ -434,12 +438,9 @@ class FlowModel:
             source = arch.weights
         else:
             # Uniform mixture; only meaningful before the cells differentiate.
-            k = len(self.config.ops)
-            rows = self.config.num_cell_groups() * self.config.topology.num_edges
             mode = "relaxed"
-            source = np.full((rows, k), 1.0 / k)
-        expected = (self.config.num_cell_groups() * self.config.topology.num_edges,
-                    len(self.config.ops))
+            source = np.full(self.config.logits_shape(), 1.0 / len(self.config.ops))
+        expected = self.config.logits_shape()
         stacked = mode == "relaxed" and source.ndim == 3
         if source.shape[-2:] != expected or source.ndim != (3 if stacked else 2):
             raise ShapeError(f"architecture weights {source.shape} do not match {expected}")
@@ -662,8 +663,6 @@ def load_checkpoint(path) -> FlowModel:
         step.actnorm.initialized = initialized
         step.inv1x1.perm = np.array(perm, dtype=np.int64)
         step.inv1x1.sign_diag = np.array(sign, dtype=np.float64)
-    for _, p in model.parameters():
-        p.data = np.frombuffer(blob, dtype="<f8", count=p.data.size,
-                               offset=end).reshape(p.data.shape).copy()
-        end += 8 * p.data.size
+    ad.bind_flat([p for _, p in model.parameters()],
+                 np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64))
     return model

@@ -95,10 +95,6 @@ class ArchDistribution:
     def num_edges(self) -> int:
         return self.logits.shape[0]
 
-    @property
-    def num_ops(self) -> int:
-        return self.logits.shape[1]
-
     def probs(self) -> np.ndarray:
         z = self.logits - self.logits.max(axis=1, keepdims=True)
         e = np.exp(z)
@@ -177,14 +173,6 @@ def arch_log_prob(dist: ArchDistribution, sample: ArchSample) -> float:
     log_probs = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     chosen = sample.argmax_ops()
     return float(log_probs[np.arange(len(chosen)), chosen].sum())
-
-
-def most_likely_arch(dist: ArchDistribution) -> ArchSample:
-    """Per-edge argmax of the logits; ties resolve to the lowest op index."""
-    choice = np.argmax(dist.logits, axis=1)
-    w = np.zeros_like(dist.logits)
-    w[np.arange(len(choice)), choice] = 1.0
-    return ArchSample("discrete", w)
 
 
 class Cell:

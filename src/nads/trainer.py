@@ -1,8 +1,10 @@
 """Joint optimization of flow parameters and architecture logits against the
 negative-WAIC objective, plus plain maximum-likelihood retraining of fixed
-architectures. One Adam optimizer drives both parameter sets; all per-step
-randomness is derived statelessly from (seed, step) so training can resume
-from a checkpoint without changing the trajectory.
+architectures. One Adam optimizer drives both parameter sets as one float64
+vector, whose views the parameters become when training starts; a parameter
+that a step does not reach gets a zero gradient. All per-step randomness is
+derived statelessly from (seed, step) so training can resume from a
+checkpoint without changing the trajectory.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ import json
 import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError
-from .flow_core import FlowConfig, FlowModel, load_checkpoint, save_checkpoint
+from .flow_core import FlowConfig, FlowModel, decode_value, load_checkpoint, save_checkpoint
 from .search_space import ArchDistribution, ArchSample, gumbel_noise, relaxed_weights
 from .waic import waic_mc_objective
 from .seeding import child_seed, rng_for
@@ -63,66 +66,70 @@ def anneal_tau(schedule: TauSchedule, step: int) -> float:
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    """Adam over one parameter vector: `theta` holds the trained parameters
+    in order, each parameter's data is a view of it, and the moments `m` and
+    `v` share its layout."""
+
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     skipped: int = 0
 
     @staticmethod
-    def for_params(params) -> "AdamState":
-        return AdamState(
-            m=[np.zeros_like(p.data if isinstance(p, Tensor) else p) for p in params],
-            v=[np.zeros_like(p.data if isinstance(p, Tensor) else p) for p in params],
-        )
+    def for_params(params: list[Tensor]) -> "AdamState":
+        """Copy `params` into a new vector and bind their data to it."""
+        theta = ad.bind_flat(params)
+        return AdamState(theta, np.zeros_like(theta), np.zeros_like(theta))
 
 
-def adam_step(params, grads, state: AdamState, lr, beta1=0.9, beta2=0.999, eps=1e-8,
-              lr_per_param=None) -> None:
-    """One bias-corrected Adam update, in place.
+def _per_param(vector: np.ndarray, params: list[Tensor]) -> list[np.ndarray]:
+    """Views of `vector`, one per parameter, in the layout of `bind_flat`."""
+    return np.split(vector, np.cumsum([p.data.size for p in params[:-1]]))
 
-    A parameter whose gradient is None (not on this step's graph) is left
-    untouched silently. One with a non-finite gradient is left untouched too,
-    and that skip is counted and logged. Neither one's moments advance.
-    """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ConfigError("params, grads, and optimizer state must align")
+
+def adam_step(params: list[Tensor], grad: np.ndarray, state: AdamState, lr,
+              beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """One bias-corrected Adam update of `state.theta`, in place, from the
+    gradient vector `grad`; `lr` is one rate or one rate per entry.
+
+    A parameter with a non-finite gradient entry is left untouched, its
+    moments do not advance, and the skip is counted and logged."""
+    if grad.shape != state.theta.shape:
+        raise ConfigError(f"gradient {grad.shape} does not match parameters {state.theta.shape}")
     state.t += 1
-    bc1 = 1.0 - beta1**state.t
-    bc2 = 1.0 - beta2**state.t
-    for i, (p, g) in enumerate(zip(params, grads)):
-        data = p.data if isinstance(p, Tensor) else p
-        if g is None:
-            continue
-        if not np.all(np.isfinite(g)):
-            state.skipped += 1
-            log.warning("adam: skipping parameter %d with non-finite gradient", i)
-            continue
-        if g.shape != data.shape:
-            raise ConfigError(f"gradient shape {g.shape} does not match parameter {data.shape}")
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / bc1
-        v_hat = state.v[i] / bc2
-        step_lr = lr if lr_per_param is None else lr_per_param[i]
-        data -= step_lr * m_hat / (np.sqrt(v_hat) + eps)
+    keep = True
+    if not np.isfinite(grad).all():
+        keep = np.ones(grad.shape, dtype=bool)
+        for i, (g, k) in enumerate(zip(_per_param(grad, params), _per_param(keep, params))):
+            if not np.isfinite(g).all():
+                k[...] = False
+                state.skipped += 1
+                log.warning("adam: skipping parameter %d with non-finite gradient", i)
+    # in place: whole-vector temporaries would raise the peak memory
+    np.multiply(state.m, beta1, out=state.m, where=keep)
+    np.add(state.m, (1.0 - beta1) * grad, out=state.m, where=keep)
+    np.multiply(state.v, beta2, out=state.v, where=keep)
+    np.add(state.v, (1.0 - beta2) * grad * grad, out=state.v, where=keep)
+    step = lr * (state.m / (1.0 - beta1**state.t))
+    step /= np.sqrt(state.v / (1.0 - beta2**state.t)) + eps
+    np.subtract(state.theta, step, out=state.theta, where=keep)
 
 
-def global_grad_norm(grads) -> float:
+def clip_gradients(grad: np.ndarray, params: list[Tensor], max_norm: float) -> float:
+    """Scale `grad` in place so that the joint norm of the parameters whose
+    gradients are finite is at most max_norm, and return that norm.
+
+    Each parameter's squares are summed on their own and the sums added in
+    parameter order: one sum over the whole vector would round differently."""
+    finite = np.isfinite(grad).all()
     total = 0.0
-    for g in grads:
-        if g is not None and np.all(np.isfinite(g)):
+    for g in _per_param(grad, params):
+        if finite or np.isfinite(g).all():
             total += float((g * g).sum())
-    return float(np.sqrt(total))
-
-
-def clip_gradients(grads, max_norm: float) -> float:
-    """Scale all finite gradients so their joint norm is at most max_norm."""
-    norm = global_grad_norm(grads)
+    norm = float(np.sqrt(total))
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for g in grads:
-            if g is not None and np.all(np.isfinite(g)):
-                g *= scale
+        grad *= max_norm / norm  # non-finite entries stay so, and Adam skips them
     return norm
 
 
@@ -251,18 +258,9 @@ def _search_loss(model: FlowModel, logits: Tensor, batch: np.ndarray, tau: float
     return waic_mc_objective([ll[j] for j in range(num_samples)])
 
 
-def _snapshot(tensors: list[Tensor]) -> list[np.ndarray]:
-    return [t.data.copy() for t in tensors]
-
-
-def _restore(tensors: list[Tensor], snap: list[np.ndarray]) -> None:
-    for t, s in zip(tensors, snap):
-        t.data = s.copy()
-
-
 def _guarded_steps(phase: str, params: list[Tensor], adam: AdamState,
                    config: SearchConfig | RetrainConfig, steps: range, loss_at,
-                   lr_per_param=None) -> tuple[list[tuple[int, float, float]], int | None]:
+                   lr) -> tuple[list[tuple[int, float, float]], int | None]:
     """One clipped Adam step on `loss_at(step)` per step, with the cyclic
     collector paused. The divergence guard stops at the first non-finite
     loss: it restores the parameters at which the last finite loss was
@@ -281,17 +279,16 @@ def _guarded_steps(phase: str, params: list[Tensor], adam: AdamState,
                 diverged = True
             if diverged:
                 if last_good is not None:
-                    _restore(params, last_good)
+                    adam.theta[:] = last_good
                 log.error("%s: non-finite loss at step %d; halting with last-good parameters",
                           phase, step)
                 return taken, step
             ad.zero_grad(params)
             loss.backward()
-            grads = [p.grad for p in params]
-            norm = clip_gradients(grads, config.grad_clip)
-            last_good = _snapshot(params)
-            adam_step(params, grads, adam, config.learning_rate,
-                      config.beta1, config.beta2, config.eps, lr_per_param=lr_per_param)
+            grad = ad.flat_grad(params)
+            norm = clip_gradients(grad, params, config.grad_clip)
+            last_good = adam.theta.copy()
+            adam_step(params, grad, adam, lr, config.beta1, config.beta2, config.eps)
         taken.append((step, float(loss.data), norm))
     return taken, None
 
@@ -315,23 +312,15 @@ def search(data: np.ndarray, config: SearchConfig, state: "SearchState | None" =
         model = FlowModel(config.flow, seed=child_seed(config.seed, "model_init"))
         init_batch = _draw_batch(x, max(2, config.batch_size), config.seed, -1)
         model.initialize_actnorm(init_batch)
-        num_rows = config.flow.num_cell_groups() * config.flow.topology.num_edges
-        logits = Tensor(np.zeros((num_rows, len(config.flow.ops))), requires_grad=True)
-        theta = [p for _, p in model.parameters()]
-        adam = AdamState.for_params(theta + [logits])
-        start_step = 0
-        trace: list[TraceRow] = []
+        logits = Tensor(np.zeros(config.flow.logits_shape()), requires_grad=True)
     else:
-        model = state.model
-        logits = state.logits
-        adam = state.adam
-        start_step = state.step
-        trace = list(state.trace)
-        theta = [p for _, p in model.parameters()]
-
-    params = theta + [logits]
-    lr_phi = config.phi_learning_rate or config.learning_rate
-    lrs = [config.learning_rate] * len(theta) + [lr_phi]
+        model, logits = state.model, state.logits
+    params = [p for _, p in model.parameters()] + [logits]
+    adam = AdamState.for_params(params) if state is None else state.adam
+    start_step = 0 if state is None else state.step
+    trace = [] if state is None else list(state.trace)
+    lr = np.full(adam.theta.shape, config.learning_rate)
+    lr[-logits.size :] = config.phi_learning_rate or config.learning_rate
     end = config.iterations if stop_at is None else min(stop_at, config.iterations)
 
     def loss_at(step: int) -> Tensor:
@@ -340,7 +329,7 @@ def search(data: np.ndarray, config: SearchConfig, state: "SearchState | None" =
                             config.num_arch_samples, config.seed, step)
 
     taken, halted_at = _guarded_steps("search", params, adam, config, range(start_step, end),
-                                      loss_at, lr_per_param=lrs)
+                                      loss_at, lr)
     trace += [TraceRow(step, loss, anneal_tau(config.tau, step), norm)
               for step, loss, norm in taken]
 
@@ -362,9 +351,24 @@ def search(data: np.ndarray, config: SearchConfig, state: "SearchState | None" =
     )
 
 
+def _load_array(path, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        a = np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"{path}: not a readable .npy array: {exc}") from exc
+    if a.dtype != np.float64 or a.shape != shape:
+        raise ConfigError(f"{path}: expected float64 {shape}, found {a.dtype} {a.shape}")
+    return a
+
+
+_STATE_FIELDS = {"step": int, "adam_t": int, "adam_skipped": int,
+                 "trace": tuple[tuple[int, float, float, float], ...]}
+
+
 @dataclass
 class SearchState:
-    """Everything needed to continue a search run mid-trajectory."""
+    """Everything needed to continue a search run mid-trajectory. The
+    parameters of `model` and `logits` are views of `adam.theta`."""
 
     model: FlowModel
     logits: Tensor
@@ -373,16 +377,12 @@ class SearchState:
     trace: list[TraceRow]
 
     def save(self, directory) -> None:
-        from pathlib import Path
-
         d = Path(directory)
         d.mkdir(parents=True, exist_ok=True)
         save_checkpoint(self.model, d / "theta.nadsflw")
         np.save(d / "logits.npy", self.logits.data)
-        flat_m = np.concatenate([m.ravel() for m in self.adam.m])
-        flat_v = np.concatenate([v.ravel() for v in self.adam.v])
-        np.save(d / "adam_m.npy", flat_m)
-        np.save(d / "adam_v.npy", flat_v)
+        np.save(d / "adam_m.npy", self.adam.m)
+        np.save(d / "adam_v.npy", self.adam.v)
         meta = {
             "step": self.step,
             "adam_t": self.adam.t,
@@ -393,25 +393,22 @@ class SearchState:
 
     @staticmethod
     def load(directory) -> "SearchState":
-        from pathlib import Path
-
         d = Path(directory)
         model = load_checkpoint(d / "theta.nadsflw")
-        logits = Tensor(np.load(d / "logits.npy"), requires_grad=True)
-        meta = json.loads((d / "state.json").read_text())
-        params = [p for _, p in model.parameters()] + [logits]
-        flat_m = np.load(d / "adam_m.npy")
-        flat_v = np.load(d / "adam_v.npy")
-        m, v = [], []
-        pos = 0
-        for p in params:
-            n = p.data.size
-            m.append(flat_m[pos : pos + n].reshape(p.data.shape).copy())
-            v.append(flat_v[pos : pos + n].reshape(p.data.shape).copy())
-            pos += n
-        adam = AdamState(m=m, v=v, t=meta["adam_t"], skipped=meta["adam_skipped"])
-        trace = [TraceRow(int(s), float(l), float(t), float(g)) for s, l, t, g in meta["trace"]]
-        return SearchState(model, logits, adam, meta["step"], trace)
+        logits = Tensor(_load_array(d / "logits.npy", model.config.logits_shape()),
+                        requires_grad=True)
+        adam = AdamState.for_params([p for _, p in model.parameters()] + [logits])
+        adam.m, adam.v = (_load_array(d / f"adam_{k}.npy", adam.theta.shape) for k in "mv")
+        try:
+            meta = json.loads((d / "state.json").read_text())
+            if not isinstance(meta, dict) or set(meta) != set(_STATE_FIELDS):
+                raise ConfigError(f"must be an object with the keys {sorted(_STATE_FIELDS)}")
+            fields = {k: decode_value(meta[k], hint, k) for k, hint in _STATE_FIELDS.items()}
+        except (ValueError, RecursionError) as exc:  # ConfigError and JSONDecodeError too
+            raise ConfigError(f"{d / 'state.json'}: {exc}") from exc
+        adam.t, adam.skipped = fields["adam_t"], fields["adam_skipped"]
+        return SearchState(model, logits, adam, fields["step"],
+                           [TraceRow(*row) for row in fields["trace"]])
 
 
 # -- fixed-architecture retraining ----------------------------------------------------
@@ -429,10 +426,10 @@ def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig) -> FlowMo
     model = FlowModel(config.flow, seed=child_seed(config.seed, "retrain_init"))
     model.initialize_actnorm(_draw_batch(x, max(2, config.batch_size), config.seed, -1), arch)
     params = [p for _, p in model.parameters()]
-    adam = AdamState.for_params(params)
 
     def loss_at(step: int) -> Tensor:
         return -model.log_prob(_draw_batch(x, config.batch_size, config.seed, step), arch).mean()
 
-    _guarded_steps("retrain", params, adam, config, range(config.iterations), loss_at)
+    _guarded_steps("retrain", params, AdamState.for_params(params), config,
+                   range(config.iterations), loss_at, config.learning_rate)
     return model

@@ -53,13 +53,6 @@ class WaicReport:
     variance: np.ndarray
     score: np.ndarray
 
-    def aggregate(self, how: str = "sum") -> float:
-        if how == "sum":
-            return float(self.score.sum())
-        if how == "mean":
-            return float(self.score.mean())
-        raise ConfigError(f"unknown aggregate {how!r} (use 'sum' or 'mean')")
-
 
 def moments(mat):
     """Per-row mean across the M architecture columns of an (N, M) ndarray

@@ -183,6 +183,40 @@ def reference_adam(x0, grad_fn, steps, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     return trace
 
 
+def _finite(g):
+    return g is not None and np.all(np.isfinite(g))
+
+
+def reference_clip_gradients(grads, max_norm):
+    """Per-tensor global-norm clipping: the squares of each finite gradient
+    are summed, the sums added in list order, and only finite gradients are
+    scaled. Returns the norm before scaling."""
+    total = 0.0
+    for g in grads:
+        if _finite(g):
+            total += float((g * g).sum())
+    norm = float(np.sqrt(total))
+    if max_norm > 0 and norm > max_norm:
+        for g in grads:
+            if _finite(g):
+                g *= max_norm / norm
+    return norm
+
+
+def reference_adam_step(params, grads, m, v, t, lrs, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam step t (from 1) one array at a time, in place on the lists of
+    arrays params, m and v. A None or non-finite gradient leaves its
+    parameter and moments as they are."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        if not _finite(g):
+            continue
+        m[i] = beta1 * m[i] + (1.0 - beta1) * g
+        v[i] = beta2 * v[i] + (1.0 - beta2) * g * g
+        p -= lrs[i] * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+
+
 def moments_bruteforce(values):
     """Row-by-row mean and population variance over the M columns, each
     weighing 1/M, in scalar loops."""

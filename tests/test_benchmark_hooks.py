@@ -1,10 +1,11 @@
 """The benchmark under perfbench/ rebinds nads functions and methods by name
-and imports a few CLI helpers. A refactor that removes one of those names
-breaks the benchmark, so this test installs and uninstalls the tracer,
-makes the imports, and reads back the phi.json that the desk-ensemble
-workload writes for itself. It runs in a subprocess, so that an install
-that fails half way cannot leave patched modules behind in the test
-process."""
+and imports a few CLI helpers. A refactor that removes one of those names,
+or changes a call shape its wrappers read, breaks the benchmark. So this
+test installs the tracer, runs a short toy search and retrain under it,
+uninstalls it, makes the imports, and reads back the phi.json that the
+desk-ensemble workload writes for itself. It runs in a subprocess, so that
+an install that fails half way cannot leave patched modules behind in the
+test process."""
 
 import subprocess
 import sys
@@ -18,9 +19,21 @@ import tempfile
 from pathlib import Path
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import tracer
-installed = tracer.Installed(tracer.Tracer())
-installed.uninstall()
+import numpy as np
 from nads.cli import PROFILES, flow_config_from, load_distribution, save_distribution
+import nads.search_space as ss
+import nads.trainer as tr
+t = tracer.Tracer()
+installed = tracer.Installed(t)
+try:  # the wrappers in place, as in a --trace 1 run
+    flow = flow_config_from(PROFILES["toy2d"])
+    x = np.random.default_rng(0).normal(size=(32, 2, 1, 1))
+    res = tr.search(x, tr.SearchConfig(flow=flow, iterations=2, batch_size=8))
+    tr.retrain(ss.sample_discrete(res.dist, 0), x,
+               tr.RetrainConfig(flow=flow, iterations=2, batch_size=8))
+finally:
+    installed.uninstall()
+assert t.counters["train.steps"] == 2 and t.counters["params.total"] > 0, t.counters
 import worker
 with tempfile.TemporaryDirectory() as d:  # the phi.json desk-ensemble starts from
     worker.WORKLOADS["desk-ensemble"].write_inputs(Path(d), 1)

@@ -9,7 +9,6 @@ import pytest
 from nads.data import (
     Dataset,
     SyntheticSpec,
-    bits_per_dim,
     dequantize,
     load_data_manifest,
     load_idx,
@@ -18,7 +17,6 @@ from nads.data import (
     read_idx,
     save_idx,
     save_points_csv,
-    standardize,
 )
 from nads.errors import ConfigError, DataError, UsageError
 
@@ -92,12 +90,6 @@ class TestDatasetValidation:
         with pytest.raises(DataError, match="non-finite"):
             Dataset(x)
 
-    def test_dims(self):
-        d = Dataset(np.zeros((3, 2, 4, 4)))
-        assert d.dims == 32
-        assert d.sample_shape == (2, 4, 4)
-
-
 class TestDequantize:
     def test_bounds_per_byte_value(self):
         lo = Dataset(np.zeros((4, 1, 2, 2)), "discrete")
@@ -136,27 +128,6 @@ class TestDequantize:
     def test_deterministic(self):
         d = Dataset(np.full((3, 1, 2, 2), 9.0), "discrete")
         np.testing.assert_array_equal(dequantize(d, 5).x, dequantize(d, 5).x)
-
-
-class TestBitsPerDim:
-    def test_uniform_density_is_eight_bits(self):
-        np.testing.assert_allclose(bits_per_dim(np.zeros(3), dims=12), 8.0)
-
-    def test_shift_by_dims_ln2_is_one_bit(self):
-        lp = np.array([-5.0])
-        d = 6
-        a = bits_per_dim(lp, d)
-        b = bits_per_dim(lp + d * np.log(2.0), d)
-        assert (a - b)[0] == pytest.approx(1.0)
-
-    def test_hand_computation(self):
-        got = bits_per_dim(np.array([-10.0]), dims=4)
-        want = 10.0 / (4 * np.log(2.0)) + 8.0
-        assert got[0] == pytest.approx(want)
-
-    def test_zero_dims_rejected(self):
-        with pytest.raises(ConfigError):
-            bits_per_dim(np.zeros(1), dims=0)
 
 
 class TestSynthetic:
@@ -220,18 +191,6 @@ class TestSynthetic:
     def test_count_validation(self):
         with pytest.raises(ConfigError):
             SyntheticSpec("two_moons", count=0, seed=0)
-
-
-class TestStandardize:
-    def test_standardizes_and_reuses_stats(self):
-        rng = np.random.default_rng(7)
-        d = Dataset(rng.normal(3.0, 2.0, size=(500, 2, 2, 2)))
-        out, mean, std = standardize(d)
-        np.testing.assert_allclose(out.x.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
-        np.testing.assert_allclose(out.x.std(axis=(0, 2, 3)), 1.0, atol=1e-12)
-        other = Dataset(rng.normal(3.0, 2.0, size=(100, 2, 2, 2)))
-        out2, _, _ = standardize(other, mean, std)
-        assert abs(out2.x.mean()) < 0.1
 
 
 class TestCsvAndManifest:

@@ -205,7 +205,7 @@ class TestGenerate:
         assert batch.shape == (4, 2, 1, 1)
         # latent 0 maps through each member; members may differ, but repeated
         # draws from the same member must coincide
-        batch2 = generate_samples(ens.members[0], count=3, temperature=0.0, seed=2)
+        batch2 = generate_samples(Ensemble([ens.members[0]]), count=3, temperature=0.0, seed=2)
         for i in range(1, 3):
             np.testing.assert_array_equal(batch2[0], batch2[i])
 

@@ -15,7 +15,6 @@ from nads.search_space import (
     CellTopology,
     arch_log_prob,
     gumbel_noise,
-    most_likely_arch,
     relaxed_weights,
     sample_discrete,
     sample_relaxed,
@@ -164,27 +163,6 @@ class TestArchLogProb:
         with pytest.raises(UsageError):
             arch_log_prob(dist, sample_relaxed(dist, 0))
 
-
-class TestMostLikely:
-    def test_argmax_row(self):
-        dist = ArchDistribution(np.array([[1.0, 3.0, 2.0]]), 1.0, OP_KINDS[:3], SINGLE, 1)
-        assert most_likely_arch(dist).argmax_ops()[0] == 1
-
-    def test_tie_takes_lowest_index(self):
-        dist = ArchDistribution(np.array([[2.0, 2.0]]), 1.0, OP_KINDS[:2], SINGLE, 1)
-        assert most_likely_arch(dist).argmax_ops()[0] == 0
-
-    def test_matches_brute_force_scan(self):
-        rng = np.random.default_rng(3)
-        logits = rng.normal(size=(12, 9))
-        dist = ArchDistribution(logits, 1.0, OP_KINDS, CellTopology(), 2)
-        got = most_likely_arch(dist).argmax_ops()
-        for row in range(12):
-            best, best_val = 0, -np.inf
-            for k in range(9):
-                if logits[row, k] > best_val:
-                    best, best_val = k, logits[row, k]
-            assert got[row] == best
 
 
 class TestCellForward:

@@ -22,6 +22,7 @@ from nads.search_space import (
 )
 from nads.seeding import child_seed
 from nads.trainer import (
+    _draw_batch,
     _search_loss,
     AdamState,
     RetrainConfig,
@@ -35,9 +36,8 @@ from nads.trainer import (
     search,
     write_trace_csv,
 )
-from nads.data import bits_per_dim
-
-from oracles import per_sample_search_loss, reference_adam
+from oracles import (per_sample_search_loss, reference_adam, reference_adam_step,
+                     reference_clip_gradients)
 
 CHAIN = CellTopology(3, ((0, 1), (1, 2)))
 TOY_FLOW = FlowConfig(in_shape=(2, 1, 1), num_blocks=1, flows_per_block=4, squeeze=False,
@@ -85,69 +85,169 @@ class TestAnnealTau:
             anneal_tau(TauSchedule(), -1)
 
 
+def _bound(*values):
+    """Parameters for the vector optimizer and their Adam state."""
+    params = [Tensor(np.array(v, dtype=float), requires_grad=True) for v in values]
+    return params, AdamState.for_params(params)
+
+
 class TestAdam:
     def test_first_step_moves_by_learning_rate(self):
         # bias correction makes the first update exactly lr * g / (|g| + eps)
-        p = np.array([5.0])
-        state = AdamState.for_params([p])
-        adam_step([p], [np.array([1.0])], state, lr=0.1)
-        assert p[0] == pytest.approx(5.0 - 0.1, abs=1e-8)
+        (p,), state = _bound([5.0])
+        adam_step([p], np.array([1.0]), state, lr=0.1)
+        assert p.data[0] == pytest.approx(5.0 - 0.1, abs=1e-8)
 
     def test_zero_grad_no_change(self):
-        p = np.array([1.0, -2.0])
-        state = AdamState.for_params([p])
-        adam_step([p], [np.zeros(2)], state, lr=0.5)
-        np.testing.assert_array_equal(p, [1.0, -2.0])
+        (p,), state = _bound([1.0, -2.0])
+        adam_step([p], np.zeros(2), state, lr=0.5)
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
     def test_matches_reference_trace_on_quadratic(self):
         # minimize (x - 3)^2 elementwise for 100 steps
         grad_fn = lambda x: 2.0 * (x - 3.0)
         ref = reference_adam(np.array([0.0, 10.0]), grad_fn, steps=100, lr=0.05)
-        p = np.array([0.0, 10.0])
-        state = AdamState.for_params([p])
+        (p,), state = _bound([0.0, 10.0])
         for t in range(100):
-            adam_step([p], [grad_fn(p)], state, lr=0.05)
-            assert np.abs(p - ref[t + 1]).max() < 1e-10
+            adam_step([p], grad_fn(p.data), state, lr=0.05)
+            assert np.abs(p.data - ref[t + 1]).max() < 1e-10
 
     def test_nonfinite_grad_skipped_with_warning(self, caplog):
-        import logging
-
-        p = np.array([1.0])
-        q = np.array([2.0])
-        state = AdamState.for_params([p, q])
+        # after one ordinary step, a NaN entry holds its whole parameter and
+        # that parameter's moments, while the others move on
+        (p, q), state = _bound([1.0, 2.0], [3.0])
+        adam_step([p, q], np.array([1.0, 1.0, 1.0]), state, lr=0.1)
+        before = [a.copy() for a in (p.data, state.m[:2], state.v[:2])]
+        q_before, q_m = q.data.copy(), state.m[2]
         with caplog.at_level(logging.WARNING):
-            adam_step([p, q], [np.array([np.nan]), np.array([1.0])], state, lr=0.1)
-        assert p[0] == 1.0  # untouched
-        assert q[0] != 2.0  # updated
-        assert state.skipped == 1
+            adam_step([p, q], np.array([np.nan, 1.0, 1.0]), state, lr=0.1)
+        for a, b in zip((p.data, state.m[:2], state.v[:2]), before):
+            np.testing.assert_array_equal(a, b)
+        assert q.data[0] != q_before[0] and state.m[2] != q_m
+        assert state.skipped == 1 and state.t == 2
         assert any("non-finite" in r.message for r in caplog.records)
 
-    def test_none_grad_skipped_silently(self, caplog):
-        import logging
-
-        p = np.array([1.0])
-        q = np.array([2.0])
-        state = AdamState.for_params([p, q])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_square_is_not_nonfinite(self, caplog):
+        # 1e200 is finite; its square is not, and that must not count as a skip
+        (p, q), state = _bound([1.0], [2.0])
         with caplog.at_level(logging.WARNING):
-            adam_step([p, q], [None, np.array([1.0])], state, lr=0.1)
-        assert p[0] == 1.0  # untouched
-        assert state.m[0][0] == 0.0 and state.v[0][0] == 0.0
-        assert q[0] != 2.0  # updated
-        assert state.skipped == 0
-        assert not caplog.records
+            adam_step([p, q], np.array([1e200, 1.0]), state, lr=0.1)
+        assert state.skipped == 0 and not caplog.records
+        assert state.m[0] == pytest.approx(1e199) and q.data[0] != 2.0
+        assert clip_gradients(np.array([1e200, 1.0]), [p, q], 1.0) == np.inf
+
+    def test_none_grad_skipped_silently(self, caplog):
+        # a parameter outside the graph (grad None) contributes zeros, which
+        # leave it and its (zero) moments exactly as they were
+        (p, q), state = _bound([1.0], [2.0])
+        (q * 3.0).sum().backward()
+        grad = ad.flat_grad([p, q])
+        np.testing.assert_array_equal(grad, [0.0, 3.0])
+        with caplog.at_level(logging.WARNING):
+            adam_step([p, q], grad, state, lr=0.1)
+        assert p.data[0] == 1.0 and state.m[0] == 0.0 and state.v[0] == 0.0
+        assert q.data[0] != 2.0 and state.skipped == 0 and not caplog.records
 
     def test_works_on_tensors(self):
-        t = Tensor(np.array([1.0]), requires_grad=True)
-        state = AdamState.for_params([t])
-        adam_step([t], [np.array([1.0])], state, lr=0.1)
+        # each parameter's data becomes a view of the vector the step updates
+        (t,), state = _bound([1.0])
+        assert np.shares_memory(t.data, state.theta)
+        adam_step([t], np.array([1.0]), state, lr=0.1)
         assert t.data[0] == pytest.approx(0.9, abs=1e-8)
 
     def test_clip_gradients(self):
-        grads = [np.array([3.0]), np.array([4.0])]
-        norm = clip_gradients(grads, max_norm=1.0)
+        params, _ = _bound([0.0], [0.0])
+        grad = np.array([3.0, 4.0])
+        norm = clip_gradients(grad, params, max_norm=1.0)
         assert norm == pytest.approx(5.0)
-        total = np.sqrt(sum(float((g * g).sum()) for g in grads))
-        assert total == pytest.approx(1.0)
+        assert np.sqrt((grad * grad).sum()) == pytest.approx(1.0)
+
+
+class TestParameterVector:
+    def test_parameters_are_views_of_the_vector(self):
+        res = search(mixture_data(200), toy_search_config(iterations=3))
+        theta = res.state.adam.theta
+        for _, p in res.model.parameters() + [("logits", res.state.logits)]:
+            assert np.shares_memory(p.data, theta)
+
+    def test_parameter_rebound_before_training_still_trains(self):
+        data = mixture_data(200)
+        model = FlowModel(TOY_FLOW, seed=0)
+        arch = TestRetrain().arch(1)
+        model.initialize_actnorm(data[:64], arch)
+        params = [p for _, p in model.parameters()]
+        params[-1].data = params[-1].data + 0.5
+        rebound = params[-1].data.copy()
+        state = AdamState.for_params(params)
+        for step in range(3):
+            model.zero_grad()
+            (-model.log_prob(data[:64], arch).mean()).backward()
+            adam_step(params, ad.flat_grad(params), state, 1e-2)
+        assert np.shares_memory(params[-1].data, state.theta)
+        assert not np.array_equal(params[-1].data, rebound)
+
+
+def _train_both_ways(build, steps, lrs, grad_clip):
+    """Train two copies of `build()` (parameters, loss at a step): one with
+    the vector optimizer, one with the per-tensor reference loop. After each
+    step the gradient norms, parameters and moments must be equal."""
+    params, loss_at = build()
+    ref_params, ref_loss_at = build()
+    state = AdamState.for_params(params)
+    lr = np.concatenate([np.full(p.data.size, r) for p, r in zip(params, lrs)])
+    m = [np.zeros_like(p.data) for p in ref_params]
+    v = [np.zeros_like(p.data) for p in ref_params]
+    norms = []
+    for step in range(steps):
+        ad.zero_grad(params)
+        loss_at(step).backward()
+        grad = ad.flat_grad(params)
+        norms.append(clip_gradients(grad, params, grad_clip))
+        adam_step(params, grad, state, lr)
+        ad.zero_grad(ref_params)
+        ref_loss_at(step).backward()
+        grads = [p.grad for p in ref_params]
+        assert reference_clip_gradients(grads, grad_clip) == norms[-1]
+        reference_adam_step([p.data for p in ref_params], grads, m, v, step + 1, lrs)
+        for p, q in zip(params, ref_params):
+            np.testing.assert_array_equal(p.data, q.data)
+        np.testing.assert_array_equal(state.m, np.concatenate(m, axis=None))
+        np.testing.assert_array_equal(state.v, np.concatenate(v, axis=None))
+    return norms
+
+
+class TestVectorMatchesPerTensorLoop:
+    def test_desk_retrain(self):
+        data = np.random.default_rng(0).random((16, 1, 8, 8))
+        dist = ArchDistribution.uniform(DESK_FLOW.ops, DESK_FLOW.topology,
+                                        DESK_FLOW.num_cell_groups())
+        arch = sample_discrete(dist, 1)
+
+        def build():
+            model = FlowModel(DESK_FLOW, seed=3)
+            model.initialize_actnorm(data[:8], arch)
+            return ([p for _, p in model.parameters()],
+                    lambda step: -model.log_prob(_draw_batch(data, 4, 0, step), arch).mean())
+
+        params, _ = build()
+        norms = _train_both_ways(build, 10, [1e-3] * len(params), 1.0)
+        assert max(norms) > 1.0  # clipping fired
+
+    def test_toy_search(self):
+        data = mixture_data(400)
+
+        def build():
+            model = FlowModel(TOY_FLOW, seed=5)
+            model.initialize_actnorm(data[:64])
+            logits = Tensor(np.zeros(TOY_FLOW.logits_shape()), requires_grad=True)
+            return ([p for _, p in model.parameters()] + [logits],
+                    lambda step: _search_loss(model, logits, _draw_batch(data, 64, 0, step),
+                                              1.5, 4, 0, step))
+
+        params, _ = build()
+        norms = _train_both_ways(build, 20, [1e-2] * (len(params) - 1) + [2e-3], 1.0)
+        assert max(norms) > 1.0
 
 
 class TestSearch:
@@ -189,6 +289,22 @@ class TestSearch:
         for (_, pa), (_, pb) in zip(full.model.parameters(), resumed.model.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
         assert [r.loss for r in full.trace] == [r.loss for r in resumed.trace]
+
+    @pytest.mark.parametrize("name, corrupt", [
+        ("adam_m.npy", lambda p: np.save(p, np.load(p)[:-1])),
+        ("adam_v.npy", lambda p: np.save(p, np.load(p).astype(np.float32))),
+        ("logits.npy", lambda p: np.save(p, np.load(p)[:, :1])),
+        ("state.json", lambda p: p.write_text(p.read_text().replace('"step": 12', '"step": "12"'))),
+        ("state.json", lambda p: p.write_text("[]")),
+    ], ids=["moments-one-short", "moments-float32", "logits-shape", "step-string", "not-object"])
+    def test_load_rejects_mismatched_files(self, tmp_path, name, corrupt):
+        search(mixture_data(200), toy_search_config(iterations=12)).state.save(tmp_path)
+        SearchState.load(tmp_path)  # intact
+        intact = (tmp_path / name).read_bytes()
+        corrupt(tmp_path / name)
+        assert (tmp_path / name).read_bytes() != intact
+        with pytest.raises(ConfigError, match=name):
+            SearchState.load(tmp_path)
 
     def test_smoothed_loss_improves_on_toy(self):
         # negative-WAIC loss, exponentially smoothed over a 100-step window,
@@ -327,20 +443,19 @@ class TestRetrain:
         # track the full-data bpd trajectory externally
         arch = self.arch(1)
         traj = []
-        from nads.trainer import AdamState, _draw_batch, adam_step, clip_gradients
-
         model.initialize_actnorm(data[:256], arch)
         params = [p for _, p in model.parameters()]
         state = AdamState.for_params(params)
         for step in range(100):
             batch = _draw_batch(data, 128, 2, step)
             loss = -model.log_prob(batch, arch).mean()
-            traj.append(bits_per_dim(np.array([-loss.item() * 1.0]), dims=2)[0])
+            # bits per dim of 2-D points on a 256-level grid
+            traj.append(loss.item() / (2.0 * np.log(2.0)) + 8.0)
             model.zero_grad()
             loss.backward()
-            grads = [p.grad for p in params]
-            clip_gradients(grads, 50.0)
-            adam_step(params, grads, state, 1e-2)
+            grad = ad.flat_grad(params)
+            clip_gradients(grad, params, 50.0)
+            adam_step(params, grad, state, 1e-2)
         windows = [np.mean(traj[i : i + 10]) for i in range(0, 100, 10)]
         assert windows[-1] < windows[0]
         assert min(windows) == pytest.approx(windows[-1], abs=0.5)

@@ -90,13 +90,6 @@ class TestPerSample:
         with pytest.raises(DataError, match="sample 1, architecture 0"):
             LogLikMatrix(np.array([[0.0, 1.0], [np.nan, 2.0]]))
 
-    def test_aggregate(self):
-        report = waic_per_sample(LogLikMatrix(np.array([[-1.0], [-3.0]])))
-        assert report.aggregate("sum") == pytest.approx(-4.0)
-        assert report.aggregate("mean") == pytest.approx(-2.0)
-        with pytest.raises(ConfigError):
-            report.aggregate("median")
-
 
 class TestMcObjective:
     def test_identical_columns_have_zero_variance(self):

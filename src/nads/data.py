@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,9 +73,9 @@ def read_idx(path) -> np.ndarray:
     if len(blob) < header_len:
         raise DataError(f"{path}: truncated IDX dimension header")
     dims = struct.unpack(f">{ndim}I", blob[4:header_len])
-    count = int(np.prod(dims)) if dims else 0
-    if dims and dims[0] == 0:
-        raise DataError(f"{path}: IDX header declares 0 items")
+    if 0 in dims:
+        raise DataError(f"{path}: IDX header declares an empty dimension {dims}")
+    count = math.prod(dims)  # exact: a product of u32 dimensions can pass 2**63
     payload = blob[header_len:]
     if len(payload) != count:
         raise DataError(f"{path}: expected {count} payload bytes, found {len(payload)}")

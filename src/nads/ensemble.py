@@ -30,9 +30,16 @@ from .seeding import child_seed, rng_for
 
 @dataclass
 class EnsembleMember:
-    arch: ArchSample
-    model: FlowModel
+    model: FlowModel  # built for one architecture (FlowModel's `arch`)
     raw_log_mass: float  # log posterior mass of the architecture, kept as provenance
+
+    def __post_init__(self):
+        if self.model.arch is None:
+            raise ConfigError("an ensemble member needs a model built for one architecture")
+
+    @property
+    def arch(self) -> ArchSample:
+        return self.model.arch
 
     def log_prob(self, x: np.ndarray) -> np.ndarray:
         with ad.no_grad():
@@ -75,7 +82,7 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
         except NadsError as exc:
             raise EnsembleBuildError(f"retraining member {j} failed: {exc} ({len(members)} "
                                      "member(s) completed before the failure)") from exc
-        members.append(EnsembleMember(arch, model, raw_log_mass=arch_log_prob(dist, arch)))
+        members.append(EnsembleMember(model, raw_log_mass=arch_log_prob(dist, arch)))
     info = {"seed": seed, "num_members": m, "tau": dist.tau}
     info.update(provenance or {})
     return Ensemble(members, provenance=info)
@@ -143,7 +150,6 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
         entries.append(
             {
                 "checkpoint": ckpt.name,
-                "arch_ops": [int(k) for k in mem.arch.argmax_ops()],
                 "arch_text": serialize_architecture(mem.arch, names),
                 "raw_log_mass": mem.raw_log_mass,
                 "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
@@ -156,9 +162,10 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
 
 
 def load_ensemble(manifest_path) -> Ensemble:
-    """Read a manifest written by save_ensemble. Each member checkpoint must
-    match the sha256 recorded for it before it is loaded. A `weight` key
-    that older manifests carry is ignored."""
+    """Read a manifest written by save_ensemble. Each member checkpoint is
+    read once, and its bytes must match the sha256 recorded for it before
+    they are decoded; the checkpoint holds the member's architecture. The
+    `weight` and `arch_ops` keys that older manifests carry are ignored."""
     path = Path(manifest_path)
     if not path.is_file():
         raise FileNotFoundError(f"ensemble manifest {path} not found or not a file")
@@ -166,26 +173,22 @@ def load_ensemble(manifest_path) -> Ensemble:
         manifest = json.loads(path.read_text())
         entries = [(decode_value(e["checkpoint"], str, f"members[{i}].checkpoint"),
                     decode_value(e["sha256"], str, f"members[{i}].sha256"),
-                    decode_value(e["arch_ops"], tuple[int, ...], f"members[{i}].arch_ops"),
                     decode_value(e["raw_log_mass"], float, f"members[{i}].raw_log_mass"))
                    for i, e in enumerate(manifest["members"])]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"{path} is not a valid ensemble manifest: {exc!r}") from exc
     members = []
-    for name, sha256, chosen, raw_log_mass in entries:
+    for name, sha256, raw_log_mass in entries:
         if not np.isfinite(raw_log_mass):
             raise DataError(f"{path}: raw_log_mass of {name} must be finite, got {raw_log_mass}")
         ckpt = path.parent / name
         if not ckpt.is_file():
             raise FileNotFoundError(f"member checkpoint {ckpt} not found or not a file")
-        if hashlib.sha256(ckpt.read_bytes()).hexdigest() != sha256:
+        blob = ckpt.read_bytes()
+        if hashlib.sha256(blob).hexdigest() != sha256:
             raise DataError(f"member checkpoint {ckpt} does not match its recorded sha256")
-        model = load_checkpoint(ckpt)
-        rows, k = model.config.logits_shape()
-        if len(chosen) != rows or not all(0 <= op < k for op in chosen):
-            raise DataError(f"{path}: arch_ops of {name} must be {rows} integers in "
-                            f"[0, {k}), got {list(chosen)!r}")
-        w = np.zeros((rows, k))
-        w[np.arange(rows), chosen] = 1.0
-        members.append(EnsembleMember(ArchSample("discrete", w), model, raw_log_mass))
+        model = load_checkpoint(ckpt, blob)
+        if model.arch is None:
+            raise DataError(f"member checkpoint {ckpt} holds a supernet, not one architecture")
+        members.append(EnsembleMember(model, raw_log_mass))
     return Ensemble(members, provenance=manifest.get("provenance", {}))

@@ -119,12 +119,17 @@ class Invertible1x1:
 
     P is a fixed permutation and sign is fixed, so W stays invertible for any
     parameter values and log|det W| is just sum(s) (times H*W spatially).
+    W starts as a random rotation drawn from `rng`; without `rng` it starts
+    as the identity (P the identity, signs +1, every parameter 0).
     """
 
-    def __init__(self, channels: int, rng: np.random.Generator):
+    def __init__(self, channels: int, rng: np.random.Generator | None = None):
         self.channels = channels
-        w0 = np.linalg.qr(rng.normal(size=(channels, channels)))[0]
-        self.perm, lo, up = _plu(w0)  # row i of P picks source perm[i]
+        if rng is None:
+            self.perm, lo, up = np.arange(channels), np.eye(channels), np.eye(channels)
+        else:
+            w0 = np.linalg.qr(rng.normal(size=(channels, channels)))[0]
+            self.perm, lo, up = _plu(w0)  # row i of P picks source perm[i]
         diag = np.diag(up).copy()
         self.sign_diag = np.sign(diag)
         self.lower = Tensor(np.tril(lo, -1), requires_grad=True)
@@ -183,13 +188,13 @@ class AffineCoupling:
     """
 
     def __init__(self, channels: int, topology: CellTopology, ops: tuple[str, ...],
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None = None, held: tuple[str, ...] | None = None):
         if channels < 2:
             raise ConfigError("affine coupling needs at least 2 channels")
         self.channels = channels
         self.c_cond = (channels + 1) // 2
         self.c_tr = channels - self.c_cond
-        self.cell = Cell(self.c_cond, self.c_tr, topology, ops, rng)
+        self.cell = Cell(self.c_cond, self.c_tr, topology, ops, rng, held)
 
     def _scale_and_shift(self, x1: Tensor, rows, mode: str) -> tuple[Tensor, Tensor, Tensor]:
         s, t = self.cell.forward(x1, rows, mode)
@@ -221,13 +226,18 @@ class AffineCoupling:
 
 
 class FlowStep:
-    def __init__(self, channels: int, topology, ops, rng: np.random.Generator,
-                 with_coupling: bool):
+    """Actnorm, the 1x1 mix and, when the step has cell rows, the coupling.
+    `rows` are the architecture-logits rows of the cell's edges, and `held`
+    names one op per logits row for a member model (see FlowModel)."""
+
+    def __init__(self, channels: int, config: FlowConfig, rows: range | None,
+                 rng: np.random.Generator | None, held: tuple[str, ...] | None):
+        self.rows = rows
         self.actnorm = ActNorm(channels)
         self.inv1x1 = Invertible1x1(channels, rng)
-        self.coupling = (
-            AffineCoupling(channels, topology, ops, rng) if with_coupling else None
-        )
+        self.coupling = None if rows is None else AffineCoupling(
+            channels, config.topology, config.ops, rng,
+            None if held is None else tuple(held[i] for i in rows))
 
     def parameters(self):
         out = self.actnorm.parameters() + self.inv1x1.parameters()
@@ -264,6 +274,8 @@ class FlowConfig:
         for op in self.ops:
             if op not in OP_KINDS:
                 raise ConfigError(f"unknown candidate operation {op!r}")
+        if len(set(self.ops)) != len(self.ops):  # a member names its ops in its checkpoint
+            raise ConfigError(f"duplicate candidate operation in {list(self.ops)}")
 
     def to_dict(self) -> dict:
         """The JSON form of this config: a flat object, topology inlined."""
@@ -325,19 +337,48 @@ class FlowConfig:
         return self.num_cell_groups() * self.topology.num_edges, len(self.ops)
 
 
-def num_parameters(config: FlowConfig) -> int:
-    """How many float64 parameters FlowModel(config) holds, counted from the
-    config alone: per step, actnorm's 2c, the 1x1 mix's 2c^2 + c and, when
-    coupled, the cell's candidate-op kernels on every edge and its projection."""
-    total = 0
-    for (c, _, _), coupled in zip(config.block_shapes(), config.coupling_flags()):
-        step = 2 * c + 2 * c * c + c
+def _cell_rows(config: FlowConfig) -> list[list[range | None]]:
+    """Per block and step, the architecture-logits rows of the step's cell
+    edges, or None for a step without coupling: one cell group per block
+    when cells are tied, one per step otherwise."""
+    ne, tied = config.topology.num_edges, config.tie_cells_per_block
+    out, group = [], 0
+    for coupled in config.coupling_flags():
+        groups = [group if tied else group + k for k in range(config.flows_per_block)]
+        out.append([range(g * ne, (g + 1) * ne) if coupled else None for g in groups])
         if coupled:
-            c_cond, c_tr = (c + 1) // 2, c - (c + 1) // 2
-            kernels = sum(math.prod(shape) for op in config.ops
-                          for shape in op_param_shapes(op, c_cond))
-            step += config.topology.num_edges * kernels + 2 * c_tr * c_cond + 2 * c_tr
-        total += config.flows_per_block * step
+            group += 1 if tied else config.flows_per_block
+    return out
+
+
+def _held_ops(config: FlowConfig, arch: ArchSample | None) -> tuple[str, ...] | None:
+    """The op name that a model built for `arch` holds on each logits row,
+    or None for the supernet (no `arch`)."""
+    if arch is None:
+        return None
+    if arch.mode != "discrete" or arch.weights.shape != config.logits_shape():
+        raise ConfigError(f"a member model needs a discrete architecture of shape "
+                          f"{config.logits_shape()}, got a {arch.mode} one of shape "
+                          f"{arch.weights.shape}")
+    return tuple(config.ops[k] for k in arch.argmax_ops())
+
+
+def num_parameters(config: FlowConfig, arch: ArchSample | None = None) -> int:
+    """How many float64 parameters FlowModel(config, arch=arch) holds,
+    counted without building it: per step, actnorm's 2c, the 1x1 mix's
+    2c^2 + c and, when coupled, the cell's projection and op kernels (every
+    op's on every edge, or with `arch` the held op's)."""
+    held = _held_ops(config, arch)
+    total = 0
+    for (c, _, _), block_rows in zip(config.block_shapes(), _cell_rows(config)):
+        c_cond, c_tr = (c + 1) // 2, c - (c + 1) // 2
+        for rows in block_rows:
+            total += 2 * c + 2 * c * c + c
+            if rows is not None:
+                edge_ops = [config.ops if held is None else (held[i],) for i in rows]
+                total += sum(math.prod(shape) for ops in edge_ops for op in ops
+                             for shape in op_param_shapes(op, c_cond))
+                total += 2 * c_tr * c_cond + 2 * c_tr
     return total
 
 
@@ -398,18 +439,37 @@ def decode_value(v, hint, where: str):
 
 class FlowModel:
     """Multi-scale invertible model: per block, squeeze then K flow steps,
-    then split half the channels off to the latent (except the last block)."""
+    then split half the channels off to the latent (except the last block).
 
-    def __init__(self, config: FlowConfig, seed: int = 0):
-        self.config = config
+    Without `arch` the model is the supernet: every cell edge holds every
+    candidate op, and it runs any architecture, relaxed or discrete. Built
+    for a discrete `arch`, it is that architecture's member: each edge holds
+    only the op `arch` picks there, and it runs `arch` alone. Either way each
+    step draws its initialization from its own stream of `seed`, every op's
+    kernels included, so a member starts from the supernet's values of the
+    parameters it holds."""
+
+    def __init__(self, config: FlowConfig, seed: int = 0, arch: ArchSample | None = None):
+        self._build(config, arch, seed)
+
+    @classmethod
+    def _layout(cls, config: FlowConfig, arch: ArchSample | None) -> "FlowModel":
+        """The parameters FlowModel(config, arch=arch) holds, all zero, with
+        identity permutations and no random draw: the frame a checkpoint
+        load fills."""
+        model = cls.__new__(cls)
+        model._build(config, arch, None)
+        return model
+
+    def _build(self, config: FlowConfig, arch: ArchSample | None, seed: int | None) -> None:
+        held = _held_ops(config, arch)
+        self.config, self.arch = config, arch
         self.blocks: list[list[FlowStep]] = []
-        flags = config.coupling_flags()
-        for b, (c, _, _) in enumerate(config.block_shapes()):
-            steps = []
-            for k in range(config.flows_per_block):
-                rng = rng_for(seed, "flow_init", b, k)
-                steps.append(FlowStep(c, config.topology, config.ops, rng, flags[b]))
-            self.blocks.append(steps)
+        for b, ((c, _, _), block_rows) in enumerate(zip(config.block_shapes(), _cell_rows(config))):
+            rngs = [None if seed is None else rng_for(seed, "flow_init", b, k)
+                    for k in range(len(block_rows))]
+            self.blocks.append([FlowStep(c, config, rows, rng, held)
+                                for rows, rng in zip(block_rows, rngs)])
 
     # -- parameter registry -------------------------------------------------
 
@@ -429,7 +489,13 @@ class FlowModel:
         """The per-edge weight rows and the cell mode. A relaxed override of
         shape (M, rows, K) holds M architecture samples; it comes back as
         (rows, M, K), so each edge's row weights the M row groups of the
-        batch. A 2-D (rows, K) override is the case M = 1."""
+        batch. A 2-D (rows, K) override is the case M = 1. A member model
+        takes only its own architecture."""
+        if self.arch is not None and (
+                weights_override is not None or arch is None or arch.mode != "discrete"
+                or not np.array_equal(arch.argmax_ops(), self.arch.argmax_ops())):
+            raise ConfigError("this model holds only the ops of the architecture it was "
+                              "built for, and runs only that architecture")
         if weights_override is not None:
             mode = "relaxed"
             source = weights_override
@@ -457,22 +523,13 @@ class FlowModel:
         """The model's layout in forward order, as (kind, block, step index,
         step, arch weight rows) tuples: per block a "squeeze" (when
         configured), its "step"s, and a "split" after every block but the
-        last. Each coupled step gets its cell group's rows: one group per
-        block when cells are tied, one per step otherwise."""
-        ne = self.config.topology.num_edges
-        tied = self.config.tie_cells_per_block
-        group = 0
+        last. Each coupled step gets the weight rows of its cell's edges."""
         for b, steps in enumerate(self.blocks):
             if self.config.squeeze:
                 yield "squeeze", b, None, None, None
             for k, step in enumerate(steps):
-                rows = None
-                if step.coupling is not None:
-                    lo = (group if tied else group + k) * ne
-                    rows = [weights[lo + e] for e in range(ne)]
+                rows = None if step.rows is None else [weights[i] for i in step.rows]
                 yield "step", b, k, step, rows
-            if steps[0].coupling is not None:
-                group += 1 if tied else len(steps)
             if b < len(self.blocks) - 1:
                 yield "split", b, None, None, None
 
@@ -607,17 +664,20 @@ def _unsqueeze_np(y: np.ndarray) -> np.ndarray:
 # -- checkpoint format -------------------------------------------------------
 #
 # magic "NADSFLW2", then a little-endian u32 header length, then the UTF-8
-# JSON header {"flow": FlowConfig.to_dict(), "steps": [[actnorm_initialized,
-# perm, sign], ...]} (one entry per flow step in declaration order; perm is
-# the 1x1 permutation and sign its +1/-1 diagonal signs), written with sorted
-# keys, followed by the raw <f8 parameter arrays in declaration order.
+# JSON header {"arch": null or [op name, ...], "flow": FlowConfig.to_dict(),
+# "steps": [[actnorm_initialized, perm, sign], ...]} (arch is null for a
+# supernet and names a member's op on each logits row; steps holds one entry
+# per flow step in declaration order, perm being the 1x1 permutation and sign
+# its +1/-1 diagonal signs), written with sorted keys, followed by the raw
+# <f8 parameter arrays in declaration order.
 
 
 def save_checkpoint(model: FlowModel, path) -> None:
     steps = [[step.actnorm.initialized, step.inv1x1.perm.tolist(),
               step.inv1x1.sign_diag.astype(int).tolist()]
              for block in model.blocks for step in block]
-    header = json.dumps({"flow": model.config.to_dict(), "steps": steps},
+    header = json.dumps({"arch": _held_ops(model.config, model.arch),
+                         "flow": model.config.to_dict(), "steps": steps},
                         sort_keys=True, separators=(",", ":")).encode()
     parts = [CHECKPOINT_MAGIC, len(header).to_bytes(4, "little"), header]
     for _, p in model.parameters():
@@ -626,9 +686,14 @@ def save_checkpoint(model: FlowModel, path) -> None:
         fh.write(b"".join(parts))
 
 
-def load_checkpoint(path) -> FlowModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
+def load_checkpoint(path, blob: bytes | None = None) -> FlowModel:
+    """Rebuild the model saved at `path`. A caller that has read the file
+    already, say to check its hash, passes its bytes as `blob`, and those
+    bytes are decoded. The layout comes from the header and the parameters
+    from the payload; nothing is drawn at random."""
+    if blob is None:
+        with open(path, "rb") as fh:
+            blob = fh.read()
     n = len(CHECKPOINT_MAGIC)
     if blob[:n] != CHECKPOINT_MAGIC:
         raise UsageError(f"{path}: not a flow checkpoint (bad magic; expected "
@@ -636,8 +701,8 @@ def load_checkpoint(path) -> FlowModel:
     end = n + 4 + int.from_bytes(blob[n : n + 4], "little")
     try:  # ConfigError, UnicodeDecodeError and JSONDecodeError are ValueErrors
         header = json.loads(blob[n + 4 : end].decode("utf-8"))
-        if not isinstance(header, dict) or set(header) != {"flow", "steps"}:
-            raise ConfigError("the header must be an object with the keys flow and steps")
+        if not isinstance(header, dict) or set(header) != {"arch", "flow", "steps"}:
+            raise ConfigError("the header must be an object with the keys arch, flow and steps")
         cfg = FlowConfig.from_dict(header["flow"])
         steps = decode_value(header["steps"],
                              tuple[tuple[bool, tuple[int, ...], tuple[int, ...]], ...], "steps")
@@ -645,6 +710,7 @@ def load_checkpoint(path) -> FlowModel:
             raise ConfigError(f"{len(steps)} flow steps, expected "
                               f"{cfg.num_blocks * cfg.flows_per_block}")
         channels = [c for c, _, _ in cfg.block_shapes() for _ in range(cfg.flows_per_block)]
+        arch = _arch_from_names(cfg, decode_value(header["arch"], tuple[str, ...] | None, "arch"))
     except (ValueError, RecursionError) as exc:  # RecursionError: deeply nested JSON
         raise UsageError(f"{path}: bad checkpoint header: {exc}") from exc
     # Checked before the model is built, so that its size is bounded by the
@@ -654,10 +720,10 @@ def load_checkpoint(path) -> FlowModel:
             raise UsageError(f"{path}: 1x1 permutation is not a permutation of {c} channels")
         if len(sign) != c or any(s not in (1, -1) for s in sign):
             raise UsageError(f"{path}: 1x1 sign entries must be {c} times +1 or -1")
-    expected = 8 * num_parameters(cfg)
+    expected = 8 * num_parameters(cfg, arch)
     if len(blob) - end != expected:
         raise UsageError(f"{path}: expected {expected} parameter bytes, found {len(blob) - end}")
-    model = FlowModel(cfg, seed=0)
+    model = FlowModel._layout(cfg, arch)
     for step, (initialized, perm, sign) in zip(
             (step for block in model.blocks for step in block), steps):
         step.actnorm.initialized = initialized
@@ -666,3 +732,18 @@ def load_checkpoint(path) -> FlowModel:
     ad.bind_flat([p for _, p in model.parameters()],
                  np.frombuffer(blob, dtype="<f8", offset=end).astype(np.float64))
     return model
+
+
+def _arch_from_names(config: FlowConfig, names: tuple[str, ...] | None) -> ArchSample | None:
+    """The discrete architecture that picks op `names[i]` on logits row i."""
+    if names is None:
+        return None
+    rows, k = config.logits_shape()
+    if len(names) != rows:
+        raise ConfigError(f"arch names {len(names)} ops, expected one per logits row ({rows})")
+    unknown = sorted(set(names) - set(config.ops))
+    if unknown:
+        raise ConfigError(f"arch ops {unknown} are not in the flow's op menu {list(config.ops)}")
+    w = np.zeros((rows, k))
+    w[np.arange(rows), [config.ops.index(op) for op in names]] = 1.0
+    return ArchSample("discrete", w)

@@ -4,8 +4,9 @@ categorical architecture distribution with Gumbel-Softmax sampling.
 The cell receives the conditioning half of the coupling layer's channels
 and emits per-element scale logits and shifts for the other half. Each DAG
 edge mixes (relaxed mode) or selects (discrete mode) one of the candidate
-operations; every node sums its incoming edges. Operation parameters live
-on the cell and are shared by every sampled architecture.
+operations; every node sums its incoming edges. A searched cell holds every
+operation's parameters, shared by every sampled architecture; a retrained
+member's cell holds only the operation its architecture picked on each edge.
 """
 
 from __future__ import annotations
@@ -29,6 +30,11 @@ OP_KINDS = (
     "identity",
     "zero",
 )
+# `skip_connect` and `identity` compute the same map, and both stay:
+# acceptance criterion 1 runs an op menu that names `skip_connect`, and a
+# merge would change the default menu, the logits' shape and every phi.json
+# written for the default flow. The cost is a tilted prior: under uniform
+# logits the identity map takes 2/9 of each edge's mass.
 
 LOG_PROB_FLOOR = -30.0  # clamp on log-probabilities before adding Gumbel noise
 
@@ -180,23 +186,29 @@ class Cell:
 
     `in_channels` is the conditioning half's channel count; the projection
     emits 2 * out_half channels that split into scale logits and shifts.
+    Each edge holds the parameters of every op in `ops`, or, given `held`
+    (one op name per edge), only those of its held op. The kernels are drawn
+    from `rng` for every op in menu order, so a held op's kernels do not
+    depend on `held`; without `rng` every parameter starts at zero.
     """
 
     def __init__(self, in_channels: int, out_half: int, topology: CellTopology,
-                 ops: tuple[str, ...], rng: np.random.Generator):
+                 ops: tuple[str, ...], rng: np.random.Generator | None = None,
+                 held: tuple[str, ...] | None = None):
         self.in_channels = in_channels
         self.out_half = out_half
         self.topology = topology
         self.ops = tuple(ops)
         c = in_channels
         self.edge_params: list[dict[str, list[Tensor]]] = []
-        for _ in topology.edges:
+        for e in range(topology.num_edges):
             per_op: dict[str, list[Tensor]] = {}
             for op in self.ops:
-                per_op[op] = [
-                    Tensor(rng.normal(0.0, KERNEL_INIT_STD, size=shape), requires_grad=True)
-                    for shape in op_param_shapes(op, c)
-                ]
+                kernels = [np.zeros(shape) if rng is None else
+                           rng.normal(0.0, KERNEL_INIT_STD, size=shape)
+                           for shape in op_param_shapes(op, c)]
+                if held is None or held[e] == op:
+                    per_op[op] = [Tensor(k, requires_grad=True) for k in kernels]
             self.edge_params.append(per_op)
         # Projection starts at zero so a fresh coupling layer is benign.
         self.proj_weight = Tensor(np.zeros((2 * out_half, c)), requires_grad=True)
@@ -206,8 +218,8 @@ class Cell:
         out = []
         for e, per_op in enumerate(self.edge_params):
             i, j = self.topology.edges[e]
-            for op in self.ops:
-                for k, p in enumerate(per_op[op]):
+            for op, params in per_op.items():
+                for k, p in enumerate(params):
                     out.append((f"edge{i}-{j}/{op}/{k}", p))
         out.append(("proj/weight", self.proj_weight))
         out.append(("proj/bias", self.proj_bias))

@@ -416,14 +416,13 @@ class SearchState:
 
 def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig) -> FlowModel:
     """Maximum-likelihood training of one fixed discrete architecture from a
-    fresh, independently seeded initialization."""
-    if arch.mode != "discrete":
-        raise ConfigError("retraining requires a discrete architecture sample")
+    fresh, independently seeded initialization. The model is built for
+    `arch`, so it holds and trains only the ops that `arch` picks."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 4 or x.shape[0] < 1:
         raise ConfigError(f"dataset must be a nonempty (N, C, H, W) array, got {x.shape}")
 
-    model = FlowModel(config.flow, seed=child_seed(config.seed, "retrain_init"))
+    model = FlowModel(config.flow, seed=child_seed(config.seed, "retrain_init"), arch=arch)
     model.initialize_actnorm(_draw_batch(x, max(2, config.batch_size), config.seed, -1), arch)
     params = [p for _, p in model.parameters()]
 

@@ -2,7 +2,7 @@
 and imports a few CLI helpers. A refactor that removes one of those names,
 or changes a call shape its wrappers read, breaks the benchmark. So this
 test installs the tracer, runs a short toy search and retrain under it,
-uninstalls it, makes the imports, and reads back the phi.json that the
+saves and reloads the retrained member's checkpoint, uninstalls it, makes the imports, and reads back the phi.json that the
 desk-ensemble workload writes for itself. It runs in a subprocess, so that
 an install that fails half way cannot leave patched modules behind in the
 test process."""
@@ -21,6 +21,7 @@ sys.path[:0] = [{src!r}, {perfbench!r}]
 import tracer
 import numpy as np
 from nads.cli import PROFILES, flow_config_from, load_distribution, save_distribution
+import nads.flow_core as fc
 import nads.search_space as ss
 import nads.trainer as tr
 t = tracer.Tracer()
@@ -29,11 +30,21 @@ try:  # the wrappers in place, as in a --trace 1 run
     flow = flow_config_from(PROFILES["toy2d"])
     x = np.random.default_rng(0).normal(size=(32, 2, 1, 1))
     res = tr.search(x, tr.SearchConfig(flow=flow, iterations=2, batch_size=8))
-    tr.retrain(ss.sample_discrete(res.dist, 0), x,
-               tr.RetrainConfig(flow=flow, iterations=2, batch_size=8))
+    arch = ss.sample_discrete(res.dist, 0)
+    member = tr.retrain(arch, x, tr.RetrainConfig(flow=flow, iterations=2, batch_size=8))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "member.nadsflw"
+        fc.save_checkpoint(member, path)
+        loaded = fc.load_checkpoint(path, path.read_bytes())
+        size = path.stat().st_size
 finally:
     installed.uninstall()
 assert t.counters["train.steps"] == 2 and t.counters["params.total"] > 0, t.counters
+assert t.counters["checkpoint.bytes"] == size, t.counters
+spans = [t.names[i] for i in t.name]
+assert spans.count("flow_core.checkpoint.save") == spans.count("flow_core.checkpoint.load") == 1
+assert np.array_equal(loaded.arch.weights, arch.weights)
+assert np.array_equal(loaded.log_prob(x, arch).data, member.log_prob(x, arch).data)
 import worker
 with tempfile.TemporaryDirectory() as d:  # the phi.json desk-ensemble starts from
     worker.WORKLOADS["desk-ensemble"].write_inputs(Path(d), 1)

@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import json
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -136,7 +137,7 @@ def _edit_header(edit):
 def _wide_header(header):
     """A 64-channel one-step flow: ~1.9 MB of parameters that the file lacks."""
     flow = FlowConfig(in_shape=(64, 1, 1), num_blocks=1, flows_per_block=1, squeeze=False)
-    header.update(flow=flow.to_dict(), steps=[[True, list(range(64)), [1] * 64]])
+    header.update(arch=None, flow=flow.to_dict(), steps=[[True, list(range(64)), [1] * 64]])
 
 
 def _set_op_id(header):
@@ -214,10 +215,6 @@ def _member_args(edit):
     return make
 
 
-def _arch_op_args(op):
-    return _member_args(lambda e: e["arch_ops"].__setitem__(0, op))
-
-
 def _toy_argv(command, toy_pipeline):
     run, data = toy_pipeline["root"], str(toy_pipeline["data"])
     ens = str(run / "ensemble" / "ensemble.json")
@@ -255,6 +252,7 @@ def _holding(content: bytes, name: str):
 A_DIRECTORY = str  # a flag value: the test's own directory
 NOT_UTF8 = b"\xff\xfe\x00\x81"
 DEEP_JSON = "[" * 100_000 + "]" * 100_000  # past the JSON decoder's recursion limit
+IDX_IMAGES = struct.pack(">I", 0x00000803)  # the magic of a 3-D IDX image file
 
 
 def _config_args(text, command="search"):
@@ -303,8 +301,10 @@ def _checkpoint_args(patch):
     _checkpoint_args(lambda blob: blob.pop()),
     _checkpoint_args(lambda blob: blob.append(0)),
     _checkpoint_args(_edit_header(_wide_header)),
-    _arch_op_args(2),
-    _arch_op_args(-1),
+    _checkpoint_args(_edit_header(lambda h: h["arch"].__setitem__(0, "sep_conv_3x3"))),
+    _checkpoint_args(_edit_header(lambda h: h["arch"].pop())),
+    _checkpoint_args(_edit_header(lambda h: h.update(arch="identity"))),
+    _checkpoint_args(_edit_header(lambda h: h.pop("arch"))),
     _member_args(lambda e: e.update(checkpoint=7)),
     _member_args(lambda e: e.update(sha256=None)),
     _member_args(lambda e: e.update(raw_log_mass="nan")),
@@ -327,6 +327,9 @@ def _checkpoint_args(patch):
     _flag_args("search", "--data", _holding(DEEP_JSON.encode(), "data.json")),
     _flag_args("score", "--ensemble", _holding(DEEP_JSON.encode(), "ensemble.json")),
     _checkpoint_args(_set_header(DEEP_JSON.encode())),
+    _flag_args("score", "--data", _holding(IDX_IMAGES + struct.pack(">3I", 2**31, 2**31, 4),
+                                            "x.idx")),
+    _flag_args("score", "--data", _holding(IDX_IMAGES + struct.pack(">3I", 1, 0, 5), "x.idx")),
     _score_csv_args("x0,x1\n1.0,2.0\n3.0\n"),
     _score_csv_args("x0,x1\n1.0,two\n"),
     _search_csv_args("x0,x1\n1.0,2.0\nnan,0.5\n"),
@@ -350,13 +353,15 @@ def _checkpoint_args(patch):
         "checkpoint-magic-v1", "checkpoint-header-not-json", "checkpoint-header-unknown-key",
         "checkpoint-step-count", "checkpoint-payload-short", "checkpoint-trailing-byte",
         "checkpoint-forged-64-channels",
-        "arch-op-past-menu", "arch-op-negative", "member-checkpoint-int", "member-sha256-null",
+        "checkpoint-arch-op-not-in-menu", "checkpoint-arch-row-count",
+        "checkpoint-arch-not-a-list", "checkpoint-arch-missing", "member-checkpoint-int", "member-sha256-null",
         "member-mass-string", "member-mass-nan", "member-mass-bool", "config-directory",
         "data-manifest-directory", "score-data-directory", "data-split-directory",
         "data-split-not-string", "data-manifest-not-utf8", "points-not-utf8",
         "points-field-too-long", "report-not-utf8", "temperature-nan", "temperature-inf",
         "config-deeply-nested", "phi-deeply-nested", "data-manifest-deeply-nested",
         "ensemble-deeply-nested", "checkpoint-header-deeply-nested",
+        "idx-dims-product-overflows", "idx-empty-dimension",
         "points-ragged-row", "points-non-numeric",
         "train-nan", "train-inf", "config-int-as-string", "config-tau-not-object",
         "config-float-as-string", "config-int-as-float", "config-float-as-bool",

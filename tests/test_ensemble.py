@@ -2,6 +2,7 @@
 against the WAIC module, convergence of the ensemble score to the exact WAIC
 under the searched distribution, plus building/serialization/generation."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -20,8 +21,8 @@ from nads.ensemble import (
 )
 import nads.ensemble
 from nads.autodiff import Tensor
-from nads.errors import ConfigError, DataError
-from nads.flow_core import FlowConfig, FlowModel
+from nads.errors import ConfigError, UsageError
+from nads.flow_core import CHECKPOINT_MAGIC, FlowConfig, FlowModel
 from nads.search_space import ArchDistribution, ArchSample, CellTopology, sample_discrete
 from nads.trainer import RetrainConfig
 from nads.waic import LogLikMatrix, waic_exact, waic_per_sample
@@ -43,8 +44,8 @@ def stub_member(lls, arch_op=1):
     """Member whose log_prob returns a fixed vector (formula tests only)."""
     w = np.zeros((2, 2))
     w[:, arch_op] = 1.0
-    model = FlowModel(TOY_FLOW, seed=0)
-    member = EnsembleMember(ArchSample("discrete", w), model, raw_log_mass=0.0)
+    model = FlowModel(TOY_FLOW, seed=0, arch=ArchSample("discrete", w))
+    member = EnsembleMember(model, raw_log_mass=0.0)
     member.log_prob = lambda x, lls=np.asarray(lls, dtype=np.float64): lls
     return member
 
@@ -119,11 +120,14 @@ class TestConvergence:
 
     def test_ensemble_waic_reaches_exact(self, monkeypatch):
         class OracleModel:
+            def __init__(self, arch):
+                self.arch = arch
+
             def log_prob(self, x, arch):
                 return Tensor(np.full(len(x), TestConvergence.LOGLIK[arch.argmax_ops()[0]]))
 
         monkeypatch.setattr(nads.ensemble, "retrain",
-                            lambda arch, data, config: OracleModel())
+                            lambda arch, data, config: OracleModel(arch))
         single = CellTopology(2, ((0, 1),))
         dist = ArchDistribution(np.log([[0.1, 0.3, 0.6]]), 1.0, self.OPS, single, 1)
         flow = FlowConfig(in_shape=(2, 1, 1), num_blocks=1, flows_per_block=1,
@@ -229,12 +233,12 @@ class TestGenerate:
         rng = np.random.default_rng(4)
         members = []
         for j in range(3):
-            model = FlowModel(flow, seed=j)
+            arch = sample_discrete(dist, j)
+            model = FlowModel(flow, seed=j, arch=arch)
             for _, p in model.parameters():
                 p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
-            arch = sample_discrete(dist, j)
             model.initialize_actnorm(rng.random((4, 1, 8, 8)), arch)
-            members.append(EnsembleMember(arch, model, raw_log_mass=0.0))
+            members.append(EnsembleMember(model, raw_log_mass=0.0))
         ens = Ensemble(members)
         batched = generate_samples(ens, count=12, temperature=0.7, seed=5)
         looped = per_sample_generate(ens, count=12, temperature=0.7, seed=5)
@@ -278,18 +282,32 @@ class TestManifest:
         np.testing.assert_array_equal(ensemble_waic(load_ensemble(manifest), x),
                                       ensemble_waic(ens, x))
 
-    @pytest.mark.parametrize("op", [2, -1, 1.0, True], ids=["past-menu", "negative",
-                                                            "float", "bool"])
-    def test_arch_op_outside_menu_rejected(self, tmp_path, op):
+    @pytest.mark.parametrize("edit", [
+        lambda h: h["arch"].__setitem__(0, "sep_conv_3x3"),  # an op kind, not in the menu
+        lambda h: h["arch"].pop(),
+        lambda h: h.update(arch="identity"),
+        lambda h: h.pop("arch"),
+    ], ids=["op-not-in-menu", "row-count", "not-a-list", "missing"])
+    def test_forged_checkpoint_arch_rejected(self, tmp_path, edit):
+        """The member's architecture comes from its hashed checkpoint; a
+        header whose `arch` is forged, its hash recorded, is refused."""
         data = mixture_data(150)
         dist = ArchDistribution.uniform(("zero", "identity"), CHAIN, 1)
         cfg = RetrainConfig(flow=TOY_FLOW, iterations=2, learning_rate=1e-2,
                             batch_size=16, ensemble_size=1, seed=6)
         manifest = save_ensemble(build_ensemble(dist, data, cfg, seed=10), tmp_path)
+        ckpt = tmp_path / "member_00.nadsflw"
+        blob, n = ckpt.read_bytes(), len(CHECKPOINT_MAGIC)
+        end = n + 4 + int.from_bytes(blob[n : n + 4], "little")
+        header = json.loads(blob[n + 4 : end])
+        edit(header)
+        raw = json.dumps(header).encode()
+        blob = blob[:n] + len(raw).to_bytes(4, "little") + raw + blob[end:]
+        ckpt.write_bytes(blob)
         doc = json.loads(manifest.read_text())
-        doc["members"][0]["arch_ops"][0] = op
+        doc["members"][0]["sha256"] = hashlib.sha256(blob).hexdigest()
         manifest.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="arch_ops"):
+        with pytest.raises(UsageError, match="arch"):
             load_ensemble(manifest)
 
     def test_missing_member_checkpoint(self, tmp_path):

@@ -633,6 +633,7 @@ class TestConfigCodec:
         ({"in_shape": [1, 8, 8], "edges": [[0, 1, 2]]}, "edges"),
         ({"in_shape": [1, 8, 8], "num_block": 2}, "unknown"),
         ({"in_shape": [1, 8, 8], "ops": []}, "at least one"),
+        ({"in_shape": [1, 8, 8], "ops": ["identity", "zero", "identity"]}, "duplicate"),
         ({"in_shape": [1, 8, 8], "num_blocks": 10**18}, "divisible"),
         ({"in_shape": [1, 8, 8], "num_nodes": 10**18}, "no incoming edge"),
         ([1, 8, 8], "object"),
@@ -640,6 +641,43 @@ class TestConfigCodec:
     def test_malformed_configs(self, doc, match):
         with pytest.raises(ConfigError, match=match):
             FlowConfig.from_dict(doc)
+
+
+MEMBER_FLOW = FlowConfig(in_shape=(3, 8, 8), num_blocks=2, flows_per_block=2, topology=CHAIN,
+                         ops=("identity", "sep_conv_3x3", "dil_conv_3x3", "zero"))
+
+
+class TestMemberModel:
+    """A model built for one discrete architecture holds only its ops."""
+
+    def archs(self):
+        dist = ArchDistribution.uniform(MEMBER_FLOW.ops, CHAIN, MEMBER_FLOW.num_cell_groups())
+        return [sample_discrete(dist, seed) for seed in range(4)], sample_relaxed(dist, 0)
+
+    def test_holds_the_supernets_initial_values_of_its_ops(self):
+        x = RNG.normal(size=(4, 3, 8, 8))
+        for arch in self.archs()[0]:
+            supernet = FlowModel(MEMBER_FLOW, seed=5)
+            member = FlowModel(MEMBER_FLOW, seed=5, arch=arch)
+            held = dict(supernet.parameters())
+            for name, p in member.parameters():
+                np.testing.assert_array_equal(p.data, held[name].data)
+            for model in (supernet, member):
+                model.initialize_actnorm(x, arch)
+            np.testing.assert_array_equal(member.log_prob(x, arch).data,
+                                          supernet.log_prob(x, arch).data)
+
+    def test_runs_only_its_own_architecture(self):
+        (arch, other, *_), relaxed = self.archs()
+        assert not np.array_equal(arch.argmax_ops(), other.argmax_ops())
+        member = FlowModel(MEMBER_FLOW, seed=5, arch=arch)
+        x = RNG.normal(size=(2, 3, 8, 8))
+        member.initialize_actnorm(x, arch)
+        for args in [(other,), (relaxed,), (None,), (None, relaxed.weights)]:
+            with pytest.raises(ConfigError, match="architecture"):
+                member.log_prob(x, *args)
+        with pytest.raises(ConfigError, match="discrete"):
+            FlowModel(MEMBER_FLOW, arch=relaxed)
 
 
 class TestCheckpoint:
@@ -658,6 +696,39 @@ class TestCheckpoint:
         for (n0, p0), (n1, p1) in zip(model.parameters(), clone.parameters()):
             assert n0 == n1
             np.testing.assert_array_equal(p0.data, p1.data)
+
+    def test_load_lays_out_the_model_without_drawing(self, tmp_path, monkeypatch):
+        """A member's checkpoint is its header plus its own parameters, and
+        a load rebuilds supernets and members from the header alone."""
+        import nads.flow_core
+
+        x = RNG.normal(size=(4, 3, 8, 8))
+        archs = TestMemberModel().archs()[0][:2]
+        models = [FlowModel(MEMBER_FLOW, seed=6, arch=arch) for arch in archs]
+        models.append(FlowModel(MEMBER_FLOW, seed=6))
+        paths = []
+        for j, model in enumerate(models):
+            model.initialize_actnorm(x, model.arch or archs[0])
+            paths.append(tmp_path / f"m{j}.nadsflw")
+            save_checkpoint(model, paths[-1])
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("the load drew a random initialization")
+
+        monkeypatch.setattr(nads.flow_core, "rng_for", no_draw)
+        monkeypatch.setattr(nads.flow_core, "_plu", no_draw)
+        for model, path in zip(models, paths):
+            blob, n = path.read_bytes(), len(CHECKPOINT_MAGIC)
+            end = n + 4 + int.from_bytes(blob[n : n + 4], "little")
+            assert len(blob) - end == 8 * num_parameters(model.config, model.arch)
+            clone = load_checkpoint(path)
+            assert (clone.arch is None) == (model.arch is None)
+            arch = model.arch or archs[0]
+            if model.arch is not None:
+                np.testing.assert_array_equal(clone.arch.weights, arch.weights)
+            np.testing.assert_array_equal(clone.log_prob(x, arch).data,
+                                          model.log_prob(x, arch).data)
+            assert [n for n, _ in clone.parameters()] == [n for n, _ in model.parameters()]
 
     def test_magic_is_checked(self, tmp_path):
         path = tmp_path / "bad.nadsflw"
@@ -682,14 +753,20 @@ class TestCheckpoint:
     def test_parameter_count_matches_built_model(self, flow):
         model = FlowModel(flow)
         assert num_parameters(flow) == sum(p.data.size for _, p in model.parameters())
+        dist = ArchDistribution.uniform(flow.ops, flow.topology, flow.num_cell_groups())
+        for seed in range(3):  # members of sampled architectures
+            arch = sample_discrete(dist, seed)
+            member = FlowModel(flow, arch=arch)
+            count = sum(p.data.size for _, p in member.parameters())
+            assert num_parameters(flow, arch) == count <= num_parameters(flow)
 
     def test_forged_wide_header_refused_before_allocating(self, tmp_path):
         # A 64-channel step holds ~240k parameters (~1.9 MB); the file holds
         # none of them, so the load must fail without building the model.
         flow = FlowConfig(in_shape=(64, 1, 1), num_blocks=1, flows_per_block=1,
                           squeeze=False)
-        header = json.dumps({"flow": flow.to_dict(), "steps": [[True, list(range(64)),
-                                                                [1] * 64]]}).encode()
+        header = json.dumps({"arch": None, "flow": flow.to_dict(),
+                             "steps": [[True, list(range(64)), [1] * 64]]}).encode()
         path = tmp_path / "forged.nadsflw"
         path.write_bytes(CHECKPOINT_MAGIC + len(header).to_bytes(4, "little") + header)
         assert path.stat().st_size < 1024
@@ -753,7 +830,7 @@ def test_any_header_or_truncation_loads_or_raises_nads_error(valid_checkpoint, d
         steps[k][i] = value
         return {**valid, "steps": steps}
 
-    keys = st.sampled_from(["flow", "steps"]) | st.text(max_size=6)
+    keys = st.sampled_from(["arch", "flow", "steps"]) | st.text(max_size=6)
     blobs = st.one_of(
         JSON_VALUES.map(with_header),
         st.dictionaries(keys, JSON_VALUES, max_size=3).map(with_header),
@@ -761,6 +838,8 @@ def test_any_header_or_truncation_loads_or_raises_nads_error(valid_checkpoint, d
         .map(with_header),
         st.tuples(st.integers(0, len(valid["steps"]) - 1), st.integers(0, 2), JSON_VALUES)
         .map(step_value).map(with_header),
+        (JSON_VALUES | st.lists(st.sampled_from(OP_KINDS), max_size=3))
+        .map(lambda arch: {**valid, "arch": arch}).map(with_header),
         st.integers(0, len(blob) - 1).map(lambda k: blob[:k]),
     )
     path = valid_checkpoint.with_name("candidate.nadsflw")

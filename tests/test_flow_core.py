@@ -633,10 +633,10 @@ class TestConfigCodec:
         ({"in_shape": [1, 8, 8], "edges": [[0, 1, 2]]}, "edges"),
         ({"in_shape": [1, 8, 8], "num_block": 2}, "unknown"),
         ({"in_shape": [1, 8, 8], "ops": []}, "at least one"),
-        ({"in_shape": [1, 8, 8], "ops": ["identity", "zero", "identity"]}, "duplicate"),
         ({"in_shape": [1, 8, 8], "num_blocks": 10**18}, "divisible"),
         ({"in_shape": [1, 8, 8], "num_nodes": 10**18}, "no incoming edge"),
         ([1, 8, 8], "object"),
+        ({"in_shape": [1, 8, 8], "ops": ["identity", "zero", "identity"]}, "duplicate"),
     ])
     def test_malformed_configs(self, doc, match):
         with pytest.raises(ConfigError, match=match):

@@ -1,9 +1,10 @@
-"""Dataset ingestion and synthesis at desk scale.
+"""Dataset ingestion and synthesis at desk scale, and the one table codec.
 
 Two on-disk formats are supported: IDX containers for byte images and
 `x0,x1` CSV point clouds for 2-D data, tied together by a small JSON
 manifest naming the train/test/OoD files. Synthetic 2-D families provide
-deterministic train/OoD pairs for end-to-end tests.
+deterministic train/OoD pairs for end-to-end tests. Every CSV table that
+nads writes or reads goes through `write_table` and `read_table`.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ class Dataset:
 
     x: np.ndarray
     domain: str = "continuous"  # "discrete" | "continuous"
-    name: str = ""
-    split: str = ""
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -82,7 +81,7 @@ def read_idx(path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
-def load_idx(path, name: str = "", split: str = "") -> Dataset:
+def load_idx(path) -> Dataset:
     """Load an IDX image file as a discrete (N, 1, H, W) dataset."""
     arr = read_idx(path)
     if arr.ndim != 3:
@@ -91,7 +90,7 @@ def load_idx(path, name: str = "", split: str = "") -> Dataset:
             "(label files parse with read_idx)"
         )
     n, h, w = arr.shape
-    return Dataset(arr.reshape(n, 1, h, w).astype(np.float64), "discrete", name, split)
+    return Dataset(arr.reshape(n, 1, h, w).astype(np.float64), "discrete")
 
 
 def save_idx(path, images: np.ndarray) -> None:
@@ -120,7 +119,7 @@ def dequantize(d: Dataset, seed: int) -> Dataset:
     if d.domain != "discrete":
         raise UsageError("dequantize expects a discrete dataset")
     u = rng_for(seed, "dequantize").random(d.x.shape)
-    return Dataset((d.x + u) / 256.0, "continuous", d.name, d.split)
+    return Dataset((d.x + u) / 256.0, "continuous")
 
 
 # -- synthetic 2-D families ----------------------------------------------------------
@@ -151,7 +150,7 @@ def make_synthetic(spec: SyntheticSpec) -> Dataset:
         pts = _shifted_gaussian(spec.count, rng, **spec.params)
     else:
         raise ConfigError(f"unknown synthetic family {spec.family!r}")
-    return Dataset(pts.reshape(-1, 1, 1, 2), "continuous", name=spec.family)
+    return Dataset(pts.reshape(-1, 1, 1, 2), "continuous")
 
 
 def _bounded_jitter(rng: np.random.Generator, n: int, sigma: float) -> np.ndarray:
@@ -205,47 +204,74 @@ def _shifted_gaussian(n: int, rng, shift=(0.0, 0.0), sigma: float = 1.0) -> np.n
     return shift + rng.normal(size=(n, 2)) * sigma
 
 
-# -- CSV point clouds and the dataset manifest -----------------------------------------
+# -- tables (every CSV nads writes or reads), point clouds, the dataset manifest --------
+
+
+def write_table(path, header: list[str], columns) -> None:
+    """Write a CSV table: the header line, then one line per row, each ended
+    by LF. `columns` are equal-length sequences or 1-D arrays; integers are
+    written as integers and floats by `repr`, so every value reads back
+    bit-identical."""
+    # as Python numbers, because numpy 2 writes repr(np.float64(0.5)) as np.float64(0.5)
+    cols = [np.asarray(c).tolist() for c in columns]
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(repr, row)) + "\n" for row in zip(*cols, strict=True))
+
+
+def read_table(path) -> tuple[list[str] | None, np.ndarray]:
+    """Read a CSV table as (header, values). A first row that is not all
+    numbers is the header, else the header is None. `values` holds the other
+    rows as a (rows, width) float64 array; the width is the header's, or the
+    first row's in a headerless file. A file that is not UTF-8 CSV, or a row
+    that is not `width` numbers, is a DataError naming the file and line."""
+    header, width, values = None, None, []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            for row in reader:
+                try:
+                    values.append([float(v) for v in row])
+                except ValueError:
+                    if width is not None:
+                        raise DataError(f"{path}: line {reader.line_num} is not all numbers: "
+                                        f"{row!r}") from None
+                    header, width = row, len(row)
+                    continue
+                width = len(row) if width is None else width
+                if len(row) != width:
+                    raise DataError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                                    f"expected {width}")
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
+    return header, np.array(values, dtype=np.float64).reshape(len(values), width or 0)
 
 
 def save_points_csv(path, d: Dataset) -> None:
     pts = d.x.reshape(d.num_samples, -1)
     if pts.shape[1] != 2:
         raise DataError(f"point-cloud CSV stores 2-D data, got {pts.shape[1]} dims")
-    with open(path, "w", newline="") as fh:
-        fh.write("x0,x1\n")
-        for a, b in pts:
-            fh.write(f"{float(a)!r},{float(b)!r}\n")
+    write_table(path, ["x0", "x1"], pts.T)
 
 
-def load_points_csv(path, name: str = "", split: str = "") -> Dataset:
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = [(reader.line_num, row) for row in reader]
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: empty CSV")
-    if rows[0][1] == ["x0", "x1"]:
-        rows = rows[1:]
-    if not rows:
-        raise DataError(f"{path}: CSV has a header but no points")
-    pts = []
-    for line, row in rows:
-        try:
-            a, b = row
-            pts.append([float(a), float(b)])
-        except ValueError:
-            raise DataError(f"{path}: line {line} is not two numbers: {row!r}") from None
-    return Dataset(np.array(pts).reshape(-1, 1, 1, 2), "continuous", name, split)
+def load_points_csv(path) -> Dataset:
+    """Read `x0,x1` points; the header line is optional."""
+    header, pts = read_table(path)
+    if header not in (None, ["x0", "x1"]):
+        raise DataError(f"{path}: line 1 is not the point-cloud header x0,x1: {header!r}")
+    if not len(pts):
+        raise DataError(f"{path}: CSV holds no points")
+    if pts.shape[1] != 2:
+        raise DataError(f"{path}: expected two numbers per line, got {pts.shape[1]}")
+    return Dataset(pts.reshape(-1, 1, 1, 2), "continuous")
 
 
 def load_data_manifest(path) -> dict[str, Dataset]:
     """Read a manifest JSON naming dataset files by split.
 
     Schema: {"name": ..., "format": "csv"|"idx", "splits": {"train": file,
-    "test": file, "ood": file, ...}}. Paths resolve relative to the manifest.
+    "test": file, "ood": file, ...}}. Paths resolve relative to the manifest;
+    `name` is accepted and ignored.
     """
     p = Path(path)
     if not p.is_file():
@@ -259,7 +285,6 @@ def load_data_manifest(path) -> dict[str, Dataset]:
     fmt = doc.get("format", "csv")
     if fmt not in ("csv", "idx"):
         raise ConfigError(f"unknown dataset format {fmt!r}")
-    name = doc.get("name", p.stem)
     splits = doc.get("splits")
     if not isinstance(splits, dict) or not splits:
         raise ConfigError(f"{p}: manifest must map split names to files")
@@ -270,8 +295,5 @@ def load_data_manifest(path) -> dict[str, Dataset]:
         fpath = p.parent / rel
         if not fpath.is_file():
             raise ConfigError(f"{p}: split {split!r} file {fpath} not found or not a file")
-        if fmt == "csv":
-            out[split] = load_points_csv(fpath, name, split)
-        else:
-            out[split] = load_idx(fpath, name, split)
+        out[split] = load_points_csv(fpath) if fmt == "csv" else load_idx(fpath)
     return out

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import write_table
 from .errors import ConfigError, DataError
 
 
@@ -159,27 +160,11 @@ def write_report_files(report: DetectionReport, directory) -> dict[str, Path]:
     )
     paths["report"] = report_path
 
-    roc_path = d / "roc.csv"
-    with open(roc_path, "w", newline="") as fh:
-        fh.write("fpr,tpr\n")
-        for x, y in report.roc_points:
-            fh.write(f"{x!r},{y!r}\n")
-    paths["roc"] = roc_path
-
-    pr_path = d / "pr.csv"
-    with open(pr_path, "w", newline="") as fh:
-        fh.write("recall,precision\n")
-        for x, y in report.pr_points:
-            fh.write(f"{x!r},{y!r}\n")
-    paths["pr"] = pr_path
-
-    hist_path = d / "hist.csv"
-    with open(hist_path, "w", newline="") as fh:
-        fh.write("bin_left,bin_right,count_in,count_out\n")
-        for i in range(len(report.hist_in)):
-            fh.write(
-                f"{float(report.hist_edges[i])!r},{float(report.hist_edges[i + 1])!r},"
-                f"{int(report.hist_in[i])},{int(report.hist_out[i])}\n"
-            )
-    paths["hist"] = hist_path
+    paths["roc"] = d / "roc.csv"
+    write_table(paths["roc"], ["fpr", "tpr"], zip(*report.roc_points))
+    paths["pr"] = d / "pr.csv"
+    write_table(paths["pr"], ["recall", "precision"], zip(*report.pr_points))
+    paths["hist"] = d / "hist.csv"
+    write_table(paths["hist"], ["bin_left", "bin_right", "count_in", "count_out"],
+                [report.hist_edges[:-1], report.hist_edges[1:], report.hist_in, report.hist_out])
     return paths

@@ -9,18 +9,18 @@ checkpoint without changing the trajectory.
 
 from __future__ import annotations
 
-import csv
 import gc
 import json
 import logging
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import write_table
 from .errors import ConfigError, NumericError
 from .flow_core import FlowConfig, FlowModel, decode_value, load_checkpoint, save_checkpoint
 from .search_space import ArchDistribution, ArchSample, gumbel_noise, relaxed_weights
@@ -205,11 +205,7 @@ class TraceRow:
 
 
 def write_trace_csv(trace: list[TraceRow], path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "tau", "grad_norm"])
-        for row in trace:
-            writer.writerow([row.step, repr(row.loss), repr(row.tau), repr(row.grad_norm)])
+    write_table(path, ["step", "loss", "tau", "grad_norm"], zip(*map(astuple, trace)))
 
 
 # -- search ------------------------------------------------------------------------

@@ -7,7 +7,6 @@ distribution the architectures were drawn from.
 
 from __future__ import annotations
 
-import csv
 import itertools
 from dataclasses import dataclass
 
@@ -15,6 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import read_table, write_table
 from .errors import CapacityError, ConfigError, DataError
 from .search_space import ArchDistribution, ArchSample, sample_discrete
 from .seeding import child_seed
@@ -133,60 +133,44 @@ def waic_exact(dist: ArchDistribution, loglik_oracle) -> ExactWaic:
 
 def waic_mc_estimate(dist: ArchDistribution, loglik_oracle, num_samples: int, seed: int) -> float:
     """Monte-Carlo counterpart of waic_exact: sample M architectures and score
-    with the 1/M mean and population variance."""
+    their row of log-likelihoods by `moments`, as `waic_per_sample` does."""
     if num_samples < 1:
         raise ConfigError("need at least one architecture sample")
-    lls = np.empty(num_samples)
+    lls = np.empty((1, num_samples))
     for j in range(num_samples):
         arch = sample_discrete(dist, child_seed(seed, "mc", j))
-        lls[j] = float(loglik_oracle(arch))
-    return float(lls.mean() - lls.var())
+        lls[0, j] = float(loglik_oracle(arch))
+    mean, var = moments(lls)
+    return float(mean[0] - var[0])
 
 
 # -- CSV interchange -----------------------------------------------------------
 
+REPORT_HEADER = ["sample_id", "mean", "variance", "waic"]
+
 
 def write_loglik_csv(ll: LogLikMatrix, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id"] + [f"arch_{j}" for j in range(ll.num_models)])
-        for i, row in enumerate(ll.values):
-            writer.writerow([i] + [repr(float(v)) for v in row])
+    header = ["sample_id"] + [f"arch_{j}" for j in range(ll.num_models)]
+    write_table(path, header, [range(ll.num_samples), *ll.values.T])
 
 
 def read_loglik_csv(path) -> LogLikMatrix:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or rows[0][:1] != ["sample_id"]:
+    header, rows = read_table(path)
+    if header is None or header[:1] != ["sample_id"]:
         raise DataError(f"{path}: expected a log-likelihood CSV with a sample_id header")
-    values = [[float(v) for v in row[1:]] for row in rows[1:]]
-    return LogLikMatrix(np.asarray(values))
+    return LogLikMatrix(rows[:, 1:])
 
 
 def write_report_csv(report: WaicReport, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample_id", "mean", "variance", "waic"])
-        for i in range(len(report.score)):
-            writer.writerow(
-                [i, repr(float(report.mean[i])), repr(float(report.variance[i])),
-                 repr(float(report.score[i]))]
-            )
+    write_table(path, REPORT_HEADER,
+                [range(len(report.score)), report.mean, report.variance, report.score])
 
 
 def read_report_csv(path) -> WaicReport:
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except (UnicodeDecodeError, csv.Error) as exc:
-        raise DataError(f"{path}: not a readable CSV file: {exc}") from exc
-    if not rows or rows[0] != ["sample_id", "mean", "variance", "waic"]:
-        raise DataError(f"{path}: expected a WAIC report CSV header")
-    body = rows[1:]
-    if not body:
+    header, rows = read_table(path)
+    if header != REPORT_HEADER:
+        raise DataError(f"{path}: expected the WAIC report header {','.join(REPORT_HEADER)}")
+    if not len(rows):
         raise DataError(f"{path}: empty WAIC report")
-    try:  # a short row makes the array ragged, and ragged arrays raise ValueError
-        mean, var, score = np.array([[float(v) for v in r[1:4]] for r in body]).T.copy()
-    except ValueError as exc:
-        raise DataError(f"{path}: malformed WAIC report row: {exc}") from exc
+    _, mean, var, score = rows.T.copy()
     return WaicReport(mean=mean, variance=var, score=score)

@@ -2,8 +2,10 @@
 and imports a few CLI helpers. A refactor that removes one of those names,
 or changes a call shape its wrappers read, breaks the benchmark. So this
 test installs the tracer, runs a short toy search and retrain under it,
-saves and reloads the retrained member's checkpoint, uninstalls it, makes the imports, and reads back the phi.json that the
-desk-ensemble workload writes for itself. It runs in a subprocess, so that
+saves and reloads the retrained member's checkpoint, saves a point CSV and
+loads it through a data manifest, writes eval report files, uninstalls it,
+makes the imports, and reads back the phi.json that the desk-ensemble
+workload writes for itself. It runs in a subprocess, so that
 an install that fails half way cannot leave patched modules behind in the
 test process."""
 
@@ -21,7 +23,9 @@ sys.path[:0] = [{src!r}, {perfbench!r}]
 import tracer
 import numpy as np
 from nads.cli import PROFILES, flow_config_from, load_distribution, save_distribution
+import nads.data as data
 import nads.flow_core as fc
+import nads.ood_eval as ood
 import nads.search_space as ss
 import nads.trainer as tr
 t = tracer.Tracer()
@@ -37,12 +41,22 @@ try:  # the wrappers in place, as in a --trace 1 run
         fc.save_checkpoint(member, path)
         loaded = fc.load_checkpoint(path, path.read_bytes())
         size = path.stat().st_size
+        points = Path(d) / "train.csv"
+        data.save_points_csv(points, data.Dataset(x.reshape(32, 1, 1, 2)))
+        (Path(d) / "data.json").write_text('{{"format": "csv", "splits": {{"train": "train.csv"}}}}')
+        train = data.load_data_manifest(Path(d) / "data.json")["train"]
+        csv_size = points.stat().st_size
+        scored = ood.ScoredSets(x[:16, 0, 0, 0], x[16:, 0, 0, 0])
+        ood.write_report_files(ood.evaluate(scored), Path(d) / "eval")
 finally:
     installed.uninstall()
 assert t.counters["train.steps"] == 2 and t.counters["params.total"] > 0, t.counters
 assert t.counters["checkpoint.bytes"] == size, t.counters
+assert t.counters["data.bytes_read"] == csv_size, t.counters
 spans = [t.names[i] for i in t.name]
 assert spans.count("flow_core.checkpoint.save") == spans.count("flow_core.checkpoint.load") == 1
+assert spans.count("ood_eval.write_report") == 1
+assert np.array_equal(train.x, x.reshape(32, 1, 1, 2))
 assert np.array_equal(loaded.arch.weights, arch.weights)
 assert np.array_equal(loaded.log_prob(x, arch).data, member.log_prob(x, arch).data)
 import worker

@@ -346,6 +346,10 @@ def _checkpoint_args(patch):
     _config_args("[1, 2]"),
     _config_args('{"search": [1]}'),
     _config_args('{"retrain": {"ensemble_size": 2.5}}', command="ensemble"),
+    _flag_args("eval", "--in-report", _holding(
+        b"sample_id,mean,variance,waic\n0,-1.0,0.5,-1.5,7\n", "report.csv")),
+    _flag_args("eval", "--in-report", _holding(
+        b"sample_id,mean,variance,waic\nx,-1.0,0.5,-1.5\n", "report.csv")),
 ], ids=["phi-empty-object", "phi-not-json", "phi-tau-string", "phi-groups-float",
         "phi-groups-bool", "phi-logits-strings", "phi-logits-nan", "phi-six-key-layout",
         "phi-logits-rows-disagree-with-flow", "phi-logits-ragged", "data-manifest-not-json",
@@ -366,7 +370,8 @@ def _checkpoint_args(patch):
         "train-nan", "train-inf", "config-int-as-string", "config-tau-not-object",
         "config-float-as-string", "config-int-as-float", "config-float-as-bool",
         "config-unknown-key", "config-seed-string", "config-seed-float", "config-seed-bool",
-        "config-not-object", "config-section-not-object", "config-retrain-int-as-float"])
+        "config-not-object", "config-section-not-object", "config-retrain-int-as-float",
+        "report-fifth-field", "report-sample-id-not-a-number"])
 def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
     argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -553,6 +558,23 @@ class TestPipelineArtifacts:
         hist = (out / "hist.csv").read_text().splitlines()[1:]
         counts = np.array([[int(v) for v in ln.split(",")[2:]] for ln in hist])
         assert counts[:, 0].sum() == 2000 and counts[:, 1].sum() == 2000
+
+    def test_every_table_starts_with_its_header_and_holds_no_cr(self, toy_pipeline):
+        headers = {
+            "trace.csv": "step,loss,tau,grad_norm",
+            "loglik.csv": "sample_id,arch_0,arch_1,arch_2",
+            "waic_report.csv": "sample_id,mean,variance,waic",
+            "roc.csv": "fpr,tpr",
+            "pr.csv": "recall,precision",
+            "hist.csv": "bin_left,bin_right,count_in,count_out",
+            "samples.csv": "x0,x1",
+        }
+        tables = sorted(toy_pipeline["root"].rglob("*.csv"))
+        assert {p.name for p in tables} == set(headers)
+        for path in tables:
+            blob = path.read_bytes()
+            assert blob.startswith(headers[path.name].encode() + b"\n"), path
+            assert b"\r" not in blob, path
 
     def test_generate_outputs_csv_points(self, toy_pipeline):
         out = toy_pipeline["root"] / "generate"

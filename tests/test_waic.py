@@ -214,3 +214,14 @@ class TestCsv:
             read_loglik_csv(path)
         with pytest.raises(DataError):
             read_report_csv(path)
+
+    @pytest.mark.parametrize("body", [
+        "sample_id,arch_0\n0,-1.0\n1,oops\n",
+        "sample_id,arch_0\nx,-1.0\n",
+        "sample_id,arch_0\n0,-1.0,-2.0\n",
+    ], ids=["non-numeric", "sample-id-not-a-number", "extra-field"])
+    def test_malformed_loglik_row_is_data_error(self, tmp_path, body):
+        path = tmp_path / "ll.csv"
+        path.write_text(body)
+        with pytest.raises(DataError, match="line"):
+            read_loglik_csv(path)

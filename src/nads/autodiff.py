@@ -367,6 +367,31 @@ def _check_nchw(x: Tensor, name: str) -> None:
         raise ShapeError(f"{name} expects an (N, C, H, W) tensor, got ndim={x.data.ndim}")
 
 
+def _windows(x: np.ndarray, kh: int, kw: int, dilation: int = 1,
+             fill: float = 0.0) -> np.ndarray:
+    """Read-only (N, C, kh, kw, H, W) view of a new copy of `x` padded "same"
+    with `fill`: entry [n, c, a, b, i, j] is tap (a, b) of the window at
+    output (i, j)."""
+    n, c, h, w = x.shape
+    ph, pw = dilation * (kh // 2), dilation * (kw // 2)
+    xp = np.full((n, c, h + 2 * ph, w + 2 * pw), fill)
+    xp[:, :, ph : ph + h, pw : pw + w] = x
+    sn, sc, sh, sw = xp.strides
+    return np.lib.stride_tricks.as_strided(
+        xp, (n, c, kh, kw, h, w), (sn, sc, sh * dilation, sw * dilation, sh, sw),
+        writeable=False)
+
+
+def _correlate(x: np.ndarray, weight: np.ndarray, dilation: int, groups: int) -> np.ndarray:
+    """Grouped "same" correlation as one batched product: the input's windows
+    are copied once into columns (N, G, C/G * kh * kw, H * W) and each
+    group's (C_out/G, C/G * kh * kw) kernel multiplies them."""
+    n, _, h, w = x.shape
+    c_out, _, kh, kw = weight.shape
+    cols = _windows(x, kh, kw, dilation).reshape(n, groups, -1, h * w)
+    return (weight.reshape(groups, c_out // groups, -1) @ cols).reshape(n, c_out, h, w)
+
+
 def conv2d(x: Tensor, weight: Tensor, dilation: int = 1, groups: int = 1) -> Tensor:
     """Grouped 2-D convolution, stride 1, odd kernel, "same" padding.
 
@@ -385,62 +410,38 @@ def conv2d(x: Tensor, weight: Tensor, dilation: int = 1, groups: int = 1) -> Ten
             f"conv2d group mismatch: C_in={c_in}, C_out={c_out}, groups={groups}, "
             f"weight C_in/groups={c_in_g}"
         )
-    ph = dilation * (kh // 2)
-    pw = dilation * (kw // 2)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    xg = xp.reshape(n, groups, c_in // groups, h + 2 * ph, w + 2 * pw)
-    wg = weight.data.reshape(groups, c_out // groups, c_in_g, kh, kw)
-
-    out = np.zeros((n, groups, c_out // groups, h, w))
-    for a in range(kh):
-        for b in range(kw):
-            patch = xg[:, :, :, a * dilation : a * dilation + h, b * dilation : b * dilation + w]
-            out += np.einsum("goc,ngchw->ngohw", wg[:, :, :, a, b], patch)
-    out = out.reshape(n, c_out, h, w)
 
     def vjp(g):
-        gg = g.reshape(n, groups, c_out // groups, h, w)
-        gx = np.zeros_like(xg)
-        gw = np.zeros_like(wg)
-        for a in range(kh):
-            for b in range(kw):
-                sl_h = slice(a * dilation, a * dilation + h)
-                sl_w = slice(b * dilation, b * dilation + w)
-                patch = xg[:, :, :, sl_h, sl_w]
-                gw[:, :, :, a, b] += np.einsum("ngohw,ngchw->goc", gg, patch)
-                gx[:, :, :, sl_h, sl_w] += np.einsum("goc,ngohw->ngchw", wg[:, :, :, a, b], gg)
-        gx = gx.reshape(n, c_in, h + 2 * ph, w + 2 * pw)
-        if ph or pw:
-            gx = gx[:, :, ph : ph + h, pw : pw + w]
+        # The columns are rebuilt rather than kept: holding them for every
+        # convolution on the tape would raise the peak memory.
+        cols = _windows(x.data, kh, kw, dilation).reshape(n, groups, -1, h * w)
+        gg = g.reshape(n, groups, c_out // groups, h * w)
+        gw = (gg @ cols.transpose(0, 1, 3, 2)).sum(axis=0)
+        # The input gradient correlates g with each group's kernel, its
+        # channel axes swapped and both spatial axes flipped.
+        flipped = weight.data.reshape(groups, c_out // groups, c_in_g, kh, kw)
+        flipped = flipped.transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1]
+        gx = _correlate(g, flipped.reshape(c_in, c_out // groups, kh, kw), dilation, groups)
         return (gx, gw.reshape(c_out, c_in_g, kh, kw))
 
-    return _make(out, (x, weight), vjp)
+    return _make(_correlate(x.data, weight.data, dilation, groups), (x, weight), vjp)
+
+
+def _window_sum(x: np.ndarray) -> np.ndarray:
+    """Sum of each 3x3 "same" window, zero outside."""
+    return _windows(x, 3, 3).sum(axis=(2, 3))
 
 
 def avg_pool3x3(x: Tensor) -> Tensor:
     """3x3 mean pooling, stride 1, same padding; padding excluded from the count."""
     x = Tensor._lift(x)
     _check_nchw(x, "avg_pool3x3")
-    n, c, h, w = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    ones = np.pad(np.ones((h, w)), ((1, 1), (1, 1)))
-    acc = np.zeros((n, c, h, w))
-    count = np.zeros((h, w))
-    for a in range(3):
-        for b in range(3):
-            acc += xp[:, :, a : a + h, b : b + w]
-            count += ones[a : a + h, b : b + w]
-    out = acc / count
+    count = _window_sum(np.ones((1, 1) + x.data.shape[2:]))
 
     def vjp(g):
-        gc = g / count
-        gx = np.zeros((n, c, h + 2, w + 2))
-        for a in range(3):
-            for b in range(3):
-                gx[:, :, a : a + h, b : b + w] += gc
-        return (gx[:, :, 1 : 1 + h, 1 : 1 + w],)
+        return (_window_sum(g / count),)
 
-    return _make(out, (x,), vjp)
+    return _make(_window_sum(x.data) / count, (x,), vjp)
 
 
 def max_pool3x3(x: Tensor) -> Tensor:
@@ -451,19 +452,17 @@ def max_pool3x3(x: Tensor) -> Tensor:
     x = Tensor._lift(x)
     _check_nchw(x, "max_pool3x3")
     n, c, h, w = x.data.shape
-    xp = np.pad(x.data, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
-    stacked = np.stack(
-        [xp[:, :, a : a + h, b : b + w] for a in range(3) for b in range(3)], axis=0
-    )
-    idx = np.argmax(stacked, axis=0)  # first max in tap scan order
-    out = np.take_along_axis(stacked, idx[None], axis=0)[0]
+    taps = _windows(x.data, 3, 3, fill=-np.inf).reshape(n, c, 9, h, w)
+    idx = np.argmax(taps, axis=2)  # first max in tap scan order
+    out = np.take_along_axis(taps, idx[:, :, None], axis=2)[:, :, 0]
 
     def vjp(g):
-        gx = np.zeros((n, c, h + 2, w + 2))
-        for tap in range(9):
-            a, b = divmod(tap, 3)
-            gx[:, :, a : a + h, b : b + w] += g * (idx == tap)
-        return (gx[:, :, 1 : 1 + h, 1 : 1 + w],)
+        # Each output sends g to its chosen tap's place in the padded grid.
+        hp, wp = h + 2, w + 2
+        corner = (np.arange(n * c).reshape(n, c, 1, 1) * hp + np.arange(h)[:, None]) * wp
+        place = corner + np.arange(w) + (idx // 3) * wp + idx % 3
+        gx = np.bincount(place.ravel(), weights=g.ravel(), minlength=n * c * hp * wp)
+        return (gx.reshape(n, c, hp, wp)[:, :, 1 : 1 + h, 1 : 1 + w],)
 
     return _make(out, (x,), vjp)
 

@@ -9,9 +9,11 @@ checkpoint without changing the trajectory.
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import logging
+import math
 from contextlib import contextmanager
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -30,24 +32,50 @@ from .seeding import child_seed, rng_for
 log = logging.getLogger(__name__)
 
 
+# -- config ranges -------------------------------------------------------------
+
+# What each range admits; NaN fails every test, and an infinite rate,
+# temperature or clip norm fails "finite and > 0".
+_RANGES = {
+    "finite and > 0": lambda v: math.isfinite(v) and v > 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+}
+
+
+def _ranged(default, valid: str):
+    """A config field with `default` whose values must be `valid`, a range
+    named in _RANGES; None always passes (an unset optional field)."""
+    return field(default=default, metadata={"range": valid})
+
+
+def _check_ranges(config, section: str) -> None:
+    """Raise ConfigError naming `section.field` and the value for the first
+    field of the dataclass `config` that lies outside its declared range."""
+    for f in dataclasses.fields(config):
+        valid = f.metadata.get("range")
+        value = getattr(config, f.name)
+        if valid is not None and value is not None and not _RANGES[valid](value):
+            raise ConfigError(f"{section}.{f.name} must be {valid}, got {value!r}")
+
+
 # -- temperature schedule ------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TauSchedule:
     kind: str = "constant"  # constant | linear | exponential
-    tau0: float = 1.5
-    tau_min: float = 0.1
-    steps: int = 1
-    gamma: float = 0.999
+    tau0: float = _ranged(1.5, "finite and > 0")
+    tau_min: float = _ranged(0.1, "finite and > 0")
+    steps: int = _ranged(1, ">= 1")
+    gamma: float = _ranged(0.999, "in (0, 1]")
 
     def __post_init__(self):
         if self.kind not in ("constant", "linear", "exponential"):
             raise ConfigError(f"unknown temperature schedule {self.kind!r}")
-        if not self.tau0 > 0 or not self.tau_min > 0:
-            raise ConfigError("temperatures must be positive")
-        if self.steps < 1:
-            raise ConfigError("schedule length must be at least 1")
+        _check_ranges(self, "search.tau")
 
 
 def anneal_tau(schedule: TauSchedule, step: int) -> float:
@@ -128,7 +156,7 @@ def clip_gradients(grad: np.ndarray, params: list[Tensor], max_norm: float) -> f
         if finite or np.isfinite(g).all():
             total += float((g * g).sum())
     norm = float(np.sqrt(total))
-    if max_norm > 0 and norm > max_norm:
+    if norm > max_norm:
         grad *= max_norm / norm  # non-finite entries stay so, and Adam skips them
     return norm
 
@@ -143,31 +171,21 @@ class SearchConfig:
     architecture samples per step, constant temperature 1.5)."""
 
     flow: FlowConfig
-    learning_rate: float = 1e-5
-    batch_size: int = 4
-    iterations: int = 10_000
-    num_arch_samples: int = 4
+    learning_rate: float = _ranged(1e-5, "finite and > 0")
+    batch_size: int = _ranged(4, ">= 1")
+    iterations: int = _ranged(10_000, ">= 0")
+    num_arch_samples: int = _ranged(4, ">= 1")
     tau: TauSchedule = field(default_factory=TauSchedule)
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    beta1: float = _ranged(0.9, "in [0, 1)")
+    beta2: float = _ranged(0.999, "in [0, 1)")
+    eps: float = _ranged(1e-8, "finite and > 0")
     seed: int = 0
-    grad_clip: float = 50.0
-    phi_learning_rate: float | None = None  # defaults to the shared rate
+    grad_clip: float = _ranged(50.0, "finite and > 0")
+    # defaults to the shared rate
+    phi_learning_rate: float | None = _ranged(None, "finite and > 0")
 
     def __post_init__(self):
-        if (
-            self.learning_rate <= 0
-            or self.batch_size < 1
-            or self.iterations < 0
-            or self.num_arch_samples < 1
-            or not (0 <= self.beta1 < 1)
-            or not (0 <= self.beta2 < 1)
-            or self.eps <= 0
-        ):
-            raise ConfigError("invalid search hyperparameters")
-        if self.phi_learning_rate is not None and self.phi_learning_rate <= 0:
-            raise ConfigError("phi learning rate must be positive")
+        _check_ranges(self, "search")
 
 
 @dataclass(frozen=True)
@@ -176,24 +194,18 @@ class RetrainConfig:
     150000 iterations at 1e-5; desk-scale runs override iterations)."""
 
     flow: FlowConfig
-    iterations: int = 150_000
-    learning_rate: float = 1e-5
-    batch_size: int = 4
-    ensemble_size: int = 5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    iterations: int = _ranged(150_000, ">= 0")
+    learning_rate: float = _ranged(1e-5, "finite and > 0")
+    batch_size: int = _ranged(4, ">= 1")
+    ensemble_size: int = _ranged(5, ">= 1")
+    beta1: float = _ranged(0.9, "in [0, 1)")
+    beta2: float = _ranged(0.999, "in [0, 1)")
+    eps: float = _ranged(1e-8, "finite and > 0")
     seed: int = 0
-    grad_clip: float = 50.0
+    grad_clip: float = _ranged(50.0, "finite and > 0")
 
     def __post_init__(self):
-        if (
-            self.iterations < 0
-            or self.learning_rate <= 0
-            or self.batch_size < 1
-            or self.ensemble_size < 1
-        ):
-            raise ConfigError("invalid retraining hyperparameters")
+        _check_ranges(self, "retrain")
 
 
 @dataclass
@@ -285,7 +297,11 @@ def _guarded_steps(phase: str, params: list[Tensor], adam: AdamState,
             norm = clip_gradients(grad, params, config.grad_clip)
             last_good = adam.theta.copy()
             adam_step(params, grad, adam, lr, config.beta1, config.beta2, config.eps)
-        taken.append((step, float(loss.data), norm))
+            taken.append((step, float(loss.data), norm))
+            # Free this step's tape before the next forward builds its own,
+            # and while the collector is paused: with the tape's objects
+            # still counted as new, the collector would scan them all.
+            del loss
     return taken, None
 
 

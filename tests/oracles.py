@@ -107,6 +107,79 @@ def naive_max_pool3x3(x):
     return out
 
 
+def per_tap_conv2d(x, w, dilation=1, groups=1):
+    """The per-tap loop conv2d (one contraction per kernel tap), forward and
+    VJP: returns (out, vjp), where vjp(g) gives (gx, gw)."""
+    n, c_in, h, ww = x.shape
+    c_out, c_in_g, kh, kw = w.shape
+    ph, pw = dilation * (kh // 2), dilation * (kw // 2)
+    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    xg = xp.reshape(n, groups, c_in // groups, h + 2 * ph, ww + 2 * pw)
+    wg = w.reshape(groups, c_out // groups, c_in_g, kh, kw)
+    out = np.zeros((n, groups, c_out // groups, h, ww))
+    for a in range(kh):
+        for b in range(kw):
+            patch = xg[:, :, :, a * dilation : a * dilation + h, b * dilation : b * dilation + ww]
+            out += np.einsum("goc,ngchw->ngohw", wg[:, :, :, a, b], patch)
+
+    def vjp(g):
+        gg = g.reshape(n, groups, c_out // groups, h, ww)
+        gx = np.zeros_like(xg)
+        gw = np.zeros_like(wg)
+        for a in range(kh):
+            for b in range(kw):
+                sl_h = slice(a * dilation, a * dilation + h)
+                sl_w = slice(b * dilation, b * dilation + ww)
+                gw[:, :, :, a, b] += np.einsum("ngohw,ngchw->goc", gg, xg[:, :, :, sl_h, sl_w])
+                gx[:, :, :, sl_h, sl_w] += np.einsum("goc,ngohw->ngchw", wg[:, :, :, a, b], gg)
+        gx = gx.reshape(n, c_in, h + 2 * ph, ww + 2 * pw)[:, :, ph : ph + h, pw : pw + ww]
+        return gx, gw.reshape(c_out, c_in_g, kh, kw)
+
+    return out.reshape(n, c_out, h, ww), vjp
+
+
+def per_tap_avg_pool3x3(x):
+    """The per-tap loop 3x3 mean pool (padding excluded from the count),
+    forward and VJP: returns (out, vjp), where vjp(g) gives gx."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    ones = np.pad(np.ones((h, w)), ((1, 1), (1, 1)))
+    acc = np.zeros((n, c, h, w))
+    count = np.zeros((h, w))
+    for a in range(3):
+        for b in range(3):
+            acc += xp[:, :, a : a + h, b : b + w]
+            count += ones[a : a + h, b : b + w]
+
+    def vjp(g):
+        gx = np.zeros((n, c, h + 2, w + 2))
+        for a in range(3):
+            for b in range(3):
+                gx[:, :, a : a + h, b : b + w] += g / count
+        return gx[:, :, 1 : 1 + h, 1 : 1 + w]
+
+    return acc / count, vjp
+
+
+def per_tap_max_pool3x3(x):
+    """The per-tap loop 3x3 max pool, forward and VJP: returns (out, vjp),
+    where vjp(g) gives gx; the gradient goes to the first maximal tap in
+    row-major window order."""
+    n, c, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)), constant_values=-np.inf)
+    stacked = np.stack([xp[:, :, a : a + h, b : b + w] for a in range(3) for b in range(3)])
+    idx = np.argmax(stacked, axis=0)
+
+    def vjp(g):
+        gx = np.zeros((n, c, h + 2, w + 2))
+        for tap in range(9):
+            a, b = divmod(tap, 3)
+            gx[:, :, a : a + h, b : b + w] += g * (idx == tap)
+        return gx[:, :, 1 : 1 + h, 1 : 1 + w]
+
+    return np.take_along_axis(stacked, idx[None], axis=0)[0], vjp
+
+
 def gumbel_softmax_reference(logits_row, noise_row, tau, floor=-30.0):
     """Fresh implementation of the relaxed categorical weights for one row."""
     z = np.asarray(logits_row, dtype=np.float64)

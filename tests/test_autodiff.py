@@ -1,17 +1,21 @@
 """Engine checks: every primitive's vector-Jacobian product against central
 finite differences, plus the convolution/pooling forward values against naive
-loop implementations."""
+loop implementations and their forwards and VJPs against the per-tap loop
+references."""
 
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nads import autodiff as ad
 from nads.autodiff import Tensor
 from nads.errors import ShapeError, UsageError
 
-from oracles import finite_diff_grad, naive_avg_pool3x3, naive_conv2d, naive_max_pool3x3
+from oracles import (finite_diff_grad, naive_avg_pool3x3, naive_conv2d, naive_max_pool3x3,
+                     per_tap_avg_pool3x3, per_tap_conv2d, per_tap_max_pool3x3)
 
 RNG = np.random.default_rng(1234)
 
@@ -183,6 +187,63 @@ class TestConvPool:
         want = np.einsum("oc,nchw->nohw", w, x)
         np.testing.assert_allclose(got, want, atol=1e-12)
         check_grad(lambda a, b: (ad.channel_mix(a, b) ** 2).sum(), (2, 3, 2, 2), (4, 3))
+
+
+def _close(got, want):
+    """Within 1e-12 of the reference, relative to its largest entry."""
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+def _check_conv_against_per_tap(n, c_in, c_out, h, w, k, dilation, groups, seed):
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.normal(size=(n, c_in, h, w)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(c_out, c_in // groups, k, k)), requires_grad=True)
+    out = ad.conv2d(x, weight, dilation=dilation, groups=groups)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    want, vjp = per_tap_conv2d(x.data, weight.data, dilation, groups)
+    want_gx, want_gw = vjp(g)
+    _close(out.data, want)
+    _close(x.grad, want_gx)
+    _close(weight.grad, want_gw)
+
+
+SPATIAL = dict(n=st.integers(1, 3), c=st.integers(1, 4), h=st.integers(1, 6),
+               dw=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+
+
+class TestVectorizedSpatialMatchesPerTap:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(**SPATIAL, c_out=st.integers(1, 4), k=st.sampled_from([1, 3, 5]),
+           dilation=st.sampled_from([1, 2]), depthwise=st.booleans())
+    def test_conv2d(self, n, c, h, dw, seed, c_out, k, dilation, depthwise):
+        if depthwise:  # groups == C, one output channel per input channel
+            _check_conv_against_per_tap(n, c, c, h, h + dw, k, dilation, c, seed)
+        else:
+            _check_conv_against_per_tap(n, c, c_out, h, h + dw, k, dilation, 1, seed)
+
+    def test_grouped_conv2d_with_more_outputs_than_inputs(self):
+        _check_conv_against_per_tap(2, 4, 6, 5, 3, 3, 2, 2, seed=7)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(**SPATIAL)
+    def test_pools(self, n, c, h, dw, seed):
+        rng = np.random.default_rng(seed)
+        # few distinct values, so that many max-pool windows hold ties
+        data = rng.integers(-2, 3, size=(n, c, h, h + dw)).astype(float)
+        g = rng.integers(-3, 4, size=data.shape).astype(float)
+        for pool, reference in [(ad.avg_pool3x3, per_tap_avg_pool3x3),
+                                (ad.max_pool3x3, per_tap_max_pool3x3)]:
+            x = Tensor(data, requires_grad=True)
+            out = pool(x)
+            out.backward(g)
+            want, vjp = reference(data)
+            _close(out.data, want)
+            _close(x.grad, vjp(g))
+        # integer gradients add up exactly in any order, so a tie routed to
+        # another tap than the reference's first maximal one would show
+        np.testing.assert_array_equal(x.grad, vjp(g))
 
 
 class TestTapeMechanics:

@@ -2,12 +2,13 @@
 and imports a few CLI helpers. A refactor that removes one of those names,
 or changes a call shape its wrappers read, breaks the benchmark. So this
 test installs the tracer, runs a short toy search and retrain under it,
-saves and reloads the retrained member's checkpoint, saves a point CSV and
-loads it through a data manifest, writes eval report files, uninstalls it,
-makes the imports, and reads back the phi.json that the desk-ensemble
-workload writes for itself. It runs in a subprocess, so that
-an install that fails half way cannot leave patched modules behind in the
-test process."""
+runs one convolution and one pool forward and backward (the convolution
+must count its forward work once and twice that in its VJP), saves and
+reloads the retrained member's checkpoint, saves a point CSV and loads it
+through a data manifest, writes eval report files, uninstalls it, makes
+the imports, and reads back the phi.json that the desk-ensemble workload
+writes for itself. It runs in a subprocess, so that an install that fails
+half way cannot leave patched modules behind in the test process."""
 
 import subprocess
 import sys
@@ -22,6 +23,7 @@ from pathlib import Path
 sys.path[:0] = [{src!r}, {perfbench!r}]
 import tracer
 import numpy as np
+import nads.autodiff as ad
 from nads.cli import PROFILES, flow_config_from, load_distribution, save_distribution
 import nads.data as data
 import nads.flow_core as fc
@@ -48,12 +50,21 @@ try:  # the wrappers in place, as in a --trace 1 run
         csv_size = points.stat().st_size
         scored = ood.ScoredSets(x[:16, 0, 0, 0], x[16:, 0, 0, 0])
         ood.write_report_files(ood.evaluate(scored), Path(d) / "eval")
+    # One desk-shaped dilated depthwise conv2d and one pool, forward and backward.
+    conv_flop = t.counters.get("conv2d.flop", 0.0)
+    xc = ad.Tensor(np.random.default_rng(1).normal(size=(16, 2, 4, 4)), requires_grad=True)
+    wc = ad.Tensor(np.random.default_rng(2).normal(size=(2, 1, 5, 5)), requires_grad=True)
+    (ad.conv2d(xc, wc, dilation=2, groups=2).sum() + ad.max_pool3x3(xc).sum()).backward()
+    conv_flop = t.counters["conv2d.flop"] - conv_flop
 finally:
     installed.uninstall()
 assert t.counters["train.steps"] == 2 and t.counters["params.total"] > 0, t.counters
 assert t.counters["checkpoint.bytes"] == size, t.counters
 assert t.counters["data.bytes_read"] == csv_size, t.counters
 spans = [t.names[i] for i in t.name]
+assert conv_flop == 3 * tracer._conv_work(xc.shape, wc.shape)[0], conv_flop
+for name in ("autodiff.conv2d", "autodiff.pool"):
+    assert spans.count(name) == spans.count(name + ".bwd") == 1, spans
 assert spans.count("flow_core.checkpoint.save") == spans.count("flow_core.checkpoint.load") == 1
 assert spans.count("ood_eval.write_report") == 1
 assert np.array_equal(train.x, x.reshape(32, 1, 1, 2))

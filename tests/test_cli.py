@@ -2,13 +2,17 @@
 reproducibility of the toy pipeline."""
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
+import os
 import shutil
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -350,6 +354,14 @@ def _checkpoint_args(patch):
         b"sample_id,mean,variance,waic\n0,-1.0,0.5,-1.5,7\n", "report.csv")),
     _flag_args("eval", "--in-report", _holding(
         b"sample_id,mean,variance,waic\nx,-1.0,0.5,-1.5\n", "report.csv")),
+    _flag_args("ensemble", "--learning-rate", lambda _: "nan"),
+    _flag_args("ensemble", "--learning-rate", lambda _: "inf"),
+    _flag_args("search", "--learning-rate", lambda _: "nan"),
+    _flag_args("search", "--learning-rate", lambda _: "inf"),
+    _config_args('{"retrain": {"eps": 0}}', command="ensemble"),
+    _config_args('{"retrain": {"beta1": 1.5}}', command="ensemble"),
+    _config_args('{"retrain": {"grad_clip": -1}}', command="ensemble"),
+    _config_args('{"search": {"grad_clip": -1}}'),
 ], ids=["phi-empty-object", "phi-not-json", "phi-tau-string", "phi-groups-float",
         "phi-groups-bool", "phi-logits-strings", "phi-logits-nan", "phi-six-key-layout",
         "phi-logits-rows-disagree-with-flow", "phi-logits-ragged", "data-manifest-not-json",
@@ -371,7 +383,10 @@ def _checkpoint_args(patch):
         "config-float-as-string", "config-int-as-float", "config-float-as-bool",
         "config-unknown-key", "config-seed-string", "config-seed-float", "config-seed-bool",
         "config-not-object", "config-section-not-object", "config-retrain-int-as-float",
-        "report-fifth-field", "report-sample-id-not-a-number"])
+        "report-fifth-field", "report-sample-id-not-a-number",
+        "ensemble-learning-rate-nan", "ensemble-learning-rate-inf", "search-learning-rate-nan",
+        "search-learning-rate-inf", "retrain-eps-zero", "retrain-beta1-above-1",
+        "retrain-grad-clip-negative", "search-grad-clip-negative"])
 def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
     argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -463,6 +478,47 @@ def test_any_json_section_decodes_or_raises_config_error(section):
         except ConfigError:
             continue
         assert isinstance(cfg, cls)
+
+
+NAN, INF = float("nan"), float("inf")
+RATE = [NAN, INF, -INF, 0.0, -1e-3]  # finite and > 0
+BETA = [NAN, INF, -1e-3, 1.0, 1.5]  # in [0, 1)
+# Every ranged field with values outside its range, by section.
+OUT_OF_RANGE = {
+    **{("search", f): RATE for f in ("learning_rate", "phi_learning_rate", "eps", "grad_clip")},
+    **{("retrain", f): RATE for f in ("learning_rate", "eps", "grad_clip")},
+    **{(s, f): BETA for s in ("search", "retrain") for f in ("beta1", "beta2")},
+    **{(s, f): [0, -1] for s, f in [("search", "batch_size"), ("search", "num_arch_samples"),
+                                     ("retrain", "batch_size"), ("retrain", "ensemble_size"),
+                                     ("search.tau", "steps")]},
+    ("search", "iterations"): [-1],
+    ("retrain", "iterations"): [-1],
+    ("search.tau", "tau0"): RATE,
+    ("search.tau", "tau_min"): RATE,
+    ("search.tau", "gamma"): [NAN, INF, 0.0, -0.5, 1.5],  # in (0, 1]
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(sorted(OUT_OF_RANGE)).flatmap(
+    lambda key: st.tuples(st.just(key), st.sampled_from(OUT_OF_RANGE[key]))))
+def test_out_of_range_config_value_exits_2_naming_it(toy_pipeline, case):
+    (section, name), value = case
+    doc = {name: value}
+    for key in reversed(section.split(".")):
+        doc = {key: doc}
+    with tempfile.TemporaryDirectory() as d:
+        config = Path(d) / "config.json"
+        config.write_text(json.dumps(doc))
+        argv = (["ensemble", "--phi", str(toy_pipeline["root"] / "search" / "phi.json")]
+                if section == "retrain" else ["search", "--dry-run"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(argv + ["--profile", "toy2d", "--config", str(config), "--data",
+                                str(toy_pipeline["data"]), "--out-dir", str(Path(d) / "out")])
+    assert code == 2
+    assert err.getvalue().startswith(f"error: {section}.{name} must be "), err.getvalue()
+    assert repr(value) in err.getvalue()
 
 
 def test_tampered_member_checkpoint_refused_before_load(tmp_path, toy_pipeline, capsys,
@@ -649,3 +705,45 @@ class TestManifestHashes:
                 (toy_pipeline_rerun["root"] / stage / "manifest.json").read_text()
             )["artifacts"]
             assert a and a == b
+
+
+DESK_RUN = """
+import sys
+from pathlib import Path
+sys.path.insert(0, {src!r})
+import numpy as np
+from nads.cli import main
+from nads.data import save_idx
+d = Path({out!r})
+d.mkdir()
+save_idx(d / "train.idx", np.random.default_rng(3).integers(0, 256, (32, 8, 8)))
+(d / "data.json").write_text('{{"format": "idx", "splits": {{"train": "train.idx"}}}}')
+common = ["--profile", "desk", "--seed", "4", "--iterations", "2"]
+codes = [
+    main(["search", *common, "--data", str(d / "data.json"), "--out-dir", str(d / "search")]),
+    main(["ensemble", *common, "--phi", str(d / "search" / "phi.json"), "--members", "2",
+          "--data", str(d / "data.json"), "--out-dir", str(d / "ensemble")]),
+    main(["score", "--seed", "4", "--ensemble", str(d / "ensemble" / "ensemble.json"),
+          "--data", str(d / "data.json"), "--split", "train", "--out-dir", str(d / "score")]),
+]
+print(codes)
+"""
+
+
+def test_desk_outputs_identical_at_1_and_2_blas_threads(tmp_path):
+    """Convolutions run through BLAS, so the desk search, retrain and score
+    outputs must not depend on how many threads it uses."""
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = subprocess.run([sys.executable, "-c", DESK_RUN.format(src=str(SRC), out=str(out))],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split()[-3:] == ["[0,", "0,", "0]"], proc.stdout
+        runs.append(out)
+    names = ["search/phi.json", "search/theta.nadsflw", "search/trace.csv",
+             "ensemble/member_00.nadsflw", "ensemble/member_01.nadsflw",
+             "score/waic_report.csv"]
+    for name in names:
+        assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes(), name

@@ -4,6 +4,7 @@ checkpoint-resume trajectories, and the 2-op toy selection dynamics."""
 import dataclasses
 import gc
 import logging
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nads.search_space import (
 from nads.seeding import child_seed
 from nads.trainer import (
     _draw_batch,
+    _guarded_steps,
     _search_loss,
     AdamState,
     RetrainConfig,
@@ -425,6 +427,28 @@ def test_steps_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_step_tape_dies_with_its_step():
+    # The previous step's loss, and with it its whole tape, must be freed
+    # before the next step's forward builds a new one. A Tensor takes no weak
+    # reference, so the probes watch the arrays that only the loss and an
+    # inner node of its tape hold.
+    w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
+    probes = []
+
+    def loss_at(step):
+        if probes:
+            assert [p() for p in probes[-1]] == [None, None], f"step {step - 1} is alive"
+        inner = w * 3.0
+        loss = (inner**2).sum()
+        probes.append((weakref.ref(loss.data), weakref.ref(inner.data)))
+        return loss
+
+    config = RetrainConfig(flow=TOY_FLOW, learning_rate=0.1)
+    taken, halted_at = _guarded_steps("retrain", [w], AdamState.for_params([w]), config,
+                                      range(3), loss_at, config.learning_rate)
+    assert halted_at is None and [s for s, _, _ in taken] == [0, 1, 2]
 
 
 class TestRetrain:

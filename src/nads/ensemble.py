@@ -16,13 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, DataError, NadsError
 from .flow_core import FlowModel, decode_value, load_checkpoint, save_checkpoint
-from .search_space import (
-    ArchDistribution,
-    ArchSample,
-    arch_log_prob,
-    sample_discrete,
-    serialize_architecture,
-)
+from .search_space import ArchDistribution, sample_discrete
 from .trainer import RetrainConfig, retrain
 from .waic import LogLikMatrix, waic_per_sample
 from .seeding import child_seed, rng_for
@@ -30,20 +24,15 @@ from .seeding import child_seed, rng_for
 
 @dataclass
 class EnsembleMember:
-    model: FlowModel  # built for one architecture (FlowModel's `arch`)
-    raw_log_mass: float  # log posterior mass of the architecture, kept as provenance
+    model: FlowModel  # built for one architecture (FlowModel's `arch`), which it runs
 
     def __post_init__(self):
         if self.model.arch is None:
             raise ConfigError("an ensemble member needs a model built for one architecture")
 
-    @property
-    def arch(self) -> ArchSample:
-        return self.model.arch
-
     def log_prob(self, x: np.ndarray) -> np.ndarray:
         with ad.no_grad():
-            return self.model.log_prob(x, self.arch).data
+            return self.model.log_prob(x).data
 
 
 @dataclass
@@ -82,7 +71,7 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
         except NadsError as exc:
             raise EnsembleBuildError(f"retraining member {j} failed: {exc} ({len(members)} "
                                      "member(s) completed before the failure)") from exc
-        members.append(EnsembleMember(model, raw_log_mass=arch_log_prob(dist, arch)))
+        members.append(EnsembleMember(model))
     info = {"seed": seed, "num_members": m, "tau": dist.tau}
     info.update(provenance or {})
     return Ensemble(members, provenance=info)
@@ -128,7 +117,7 @@ def generate_samples(ens: Ensemble, count: int, temperature: float = 1.0, seed: 
         idx = np.flatnonzero(assignment == j)
         if len(idx):
             zs = [np.concatenate(level) for level in zip(*(draws[i] for i in idx))]
-            out[idx] = mem.model.inverse(zs, mem.arch)
+            out[idx] = mem.model.inverse(zs)
     if clip_range is not None:
         out = np.clip(out, clip_range[0], clip_range[1])
     return out
@@ -145,16 +134,8 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
     for j, mem in enumerate(ens.members):
         ckpt = d / f"member_{j:02d}.nadsflw"
         save_checkpoint(mem.model, ckpt)
-        cfg = mem.model.config
-        names = ArchDistribution.uniform(cfg.ops, cfg.topology, cfg.num_cell_groups())
-        entries.append(
-            {
-                "checkpoint": ckpt.name,
-                "arch_text": serialize_architecture(mem.arch, names),
-                "raw_log_mass": mem.raw_log_mass,
-                "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
-            }
-        )
+        entries.append({"checkpoint": ckpt.name,
+                        "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest()})
     manifest = {"members": entries, "provenance": ens.provenance}
     path = d / "ensemble.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -165,22 +146,20 @@ def load_ensemble(manifest_path) -> Ensemble:
     """Read a manifest written by save_ensemble. Each member checkpoint is
     read once, and its bytes must match the sha256 recorded for it before
     they are decoded; the checkpoint holds the member's architecture. The
-    `weight` and `arch_ops` keys that older manifests carry are ignored."""
+    `weight`, `arch_ops`, `arch_text` and `raw_log_mass` keys that older
+    manifests carry are ignored."""
     path = Path(manifest_path)
     if not path.is_file():
         raise FileNotFoundError(f"ensemble manifest {path} not found or not a file")
     try:  # decode_value's ConfigError is a ValueError; deep JSON is a RecursionError
         manifest = json.loads(path.read_text())
         entries = [(decode_value(e["checkpoint"], str, f"members[{i}].checkpoint"),
-                    decode_value(e["sha256"], str, f"members[{i}].sha256"),
-                    decode_value(e["raw_log_mass"], float, f"members[{i}].raw_log_mass"))
+                    decode_value(e["sha256"], str, f"members[{i}].sha256"))
                    for i, e in enumerate(manifest["members"])]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"{path} is not a valid ensemble manifest: {exc!r}") from exc
     members = []
-    for name, sha256, raw_log_mass in entries:
-        if not np.isfinite(raw_log_mass):
-            raise DataError(f"{path}: raw_log_mass of {name} must be finite, got {raw_log_mass}")
+    for name, sha256 in entries:
         ckpt = path.parent / name
         if not ckpt.is_file():
             raise FileNotFoundError(f"member checkpoint {ckpt} not found or not a file")
@@ -190,5 +169,5 @@ def load_ensemble(manifest_path) -> Ensemble:
         model = load_checkpoint(ckpt, blob)
         if model.arch is None:
             raise DataError(f"member checkpoint {ckpt} holds a supernet, not one architecture")
-        members.append(EnsembleMember(model, raw_log_mass))
+        members.append(EnsembleMember(model))
     return Ensemble(members, provenance=manifest.get("provenance", {}))

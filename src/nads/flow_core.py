@@ -24,13 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NotInitializedError, NumericError, ShapeError, UsageError
-from .search_space import (
-    OP_KINDS,
-    ArchSample,
-    Cell,
-    CellTopology,
-    op_param_shapes,
-)
+from .search_space import OP_KINDS, OPS, ArchSample, Cell, CellTopology
 from .seeding import rng_for
 
 log = logging.getLogger(__name__)
@@ -272,7 +266,7 @@ class FlowConfig:
         if not self.ops:
             raise ConfigError("need at least one candidate operation")
         for op in self.ops:
-            if op not in OP_KINDS:
+            if op not in OPS:
                 raise ConfigError(f"unknown candidate operation {op!r}")
         if len(set(self.ops)) != len(self.ops):  # a member names its ops in its checkpoint
             raise ConfigError(f"duplicate candidate operation in {list(self.ops)}")
@@ -377,7 +371,7 @@ def num_parameters(config: FlowConfig, arch: ArchSample | None = None) -> int:
             if rows is not None:
                 edge_ops = [config.ops if held is None else (held[i],) for i in rows]
                 total += sum(math.prod(shape) for ops in edge_ops for op in ops
-                             for shape in op_param_shapes(op, c_cond))
+                             for shape in OPS[op].shapes(c_cond))
                 total += 2 * c_tr * c_cond + 2 * c_tr
     return total
 
@@ -444,10 +438,11 @@ class FlowModel:
     Without `arch` the model is the supernet: every cell edge holds every
     candidate op, and it runs any architecture, relaxed or discrete. Built
     for a discrete `arch`, it is that architecture's member: each edge holds
-    only the op `arch` picks there, and it runs `arch` alone. Either way each
-    step draws its initialization from its own stream of `seed`, every op's
-    kernels included, so a member starts from the supernet's values of the
-    parameters it holds."""
+    only the op `arch` picks there, and it runs `arch` alone, also when its
+    `forward`, `log_prob`, `inverse` and `initialize_actnorm` are given no
+    architecture. Either way each step draws its initialization from its own
+    stream of `seed`, every op's kernels included, so a member starts from
+    the supernet's values of the parameters it holds."""
 
     def __init__(self, config: FlowConfig, seed: int = 0, arch: ArchSample | None = None):
         self._build(config, arch, seed)
@@ -490,12 +485,15 @@ class FlowModel:
         shape (M, rows, K) holds M architecture samples; it comes back as
         (rows, M, K), so each edge's row weights the M row groups of the
         batch. A 2-D (rows, K) override is the case M = 1. A member model
-        takes only its own architecture."""
-        if self.arch is not None and (
-                weights_override is not None or arch is None or arch.mode != "discrete"
-                or not np.array_equal(arch.argmax_ops(), self.arch.argmax_ops())):
-            raise ConfigError("this model holds only the ops of the architecture it was "
-                              "built for, and runs only that architecture")
+        runs only its own architecture, and runs it when `arch` is None."""
+        if self.arch is not None:
+            other = arch is not None and arch is not self.arch and (
+                arch.mode != "discrete"
+                or not np.array_equal(arch.argmax_ops(), self.arch.argmax_ops()))
+            if weights_override is not None or other:
+                raise ConfigError("this model holds only the ops of the architecture it was "
+                                  "built for, and runs only that architecture")
+            return self.arch.weights, "discrete"
         if weights_override is not None:
             mode = "relaxed"
             source = weights_override

@@ -6,30 +6,62 @@ and emits per-element scale logits and shifts for the other half. Each DAG
 edge mixes (relaxed mode) or selects (discrete mode) one of the candidate
 operations; every node sums its incoming edges. A searched cell holds every
 operation's parameters, shared by every sampled architecture; a retrained
-member's cell holds only the operation its architecture picked on each edge.
+member's cell holds, and runs, only the operation its architecture picked on
+each edge. `OPS` is the one table of candidate operations.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError, UsageError
-OP_KINDS = (
-    "avg_pool_3x3",
-    "max_pool_3x3",
-    "skip_connect",
-    "sep_conv_3x3",
-    "sep_conv_5x5",
-    "dil_conv_3x3",
-    "dil_conv_5x5",
-    "identity",
-    "zero",
-)
+
+
+class Op(NamedTuple):
+    """A candidate operation: its parameter shapes for `c` channels, and its
+    forward on (params, x). A forward that returns None is the zero map."""
+
+    shapes: Callable[[int], list[tuple[int, ...]]]
+    forward: Callable[[list[Tensor], Tensor], Tensor | None]
+
+
+def _no_params(c: int) -> list[tuple[int, ...]]:
+    return []
+
+
+def _sep_conv(k: int) -> Op:
+    """A depthwise k x k convolution, then a pointwise one."""
+    return Op(lambda c: [(c, 1, k, k), (c, c, 1, 1)],
+              lambda p, x: ad.conv2d(ad.conv2d(x, p[0], groups=x.shape[1]), p[1]))
+
+
+def _dil_conv(k: int) -> Op:
+    """A dense k x k convolution at dilation 2."""
+    return Op(lambda c: [(c, c, k, k)], lambda p, x: ad.conv2d(x, p[0], dilation=2))
+
+
+# The candidate-op menu. Its order fixes the columns of the architecture
+# logits and so every phi.json written for the default flow. Each forward
+# looks `ad`'s functions up when it runs, so a wrapper bound over them later
+# (as the benchmark's tracer does) sees every call.
+OPS: dict[str, Op] = {
+    "avg_pool_3x3": Op(_no_params, lambda p, x: ad.avg_pool3x3(x)),
+    "max_pool_3x3": Op(_no_params, lambda p, x: ad.max_pool3x3(x)),
+    "skip_connect": Op(_no_params, lambda p, x: x),
+    "sep_conv_3x3": _sep_conv(3),
+    "sep_conv_5x5": _sep_conv(5),
+    "dil_conv_3x3": _dil_conv(3),
+    "dil_conv_5x5": _dil_conv(5),
+    "identity": Op(_no_params, lambda p, x: x),
+    "zero": Op(_no_params, lambda p, x: None),
+}
+OP_KINDS = tuple(OPS)
 # `skip_connect` and `identity` compute the same map, and both stay:
 # acceptance criterion 1 runs an op menu that names `skip_connect`, and a
 # merge would change the default menu, the logits' shape and every phi.json
@@ -94,7 +126,7 @@ class ArchDistribution:
         if not self.tau > 0:
             raise ConfigError(f"temperature must be positive, got {self.tau}")
         for op in self.ops:
-            if op not in OP_KINDS:
+            if op not in OPS:
                 raise ConfigError(f"unknown candidate operation {op!r}")
 
     @property
@@ -187,9 +219,10 @@ class Cell:
     `in_channels` is the conditioning half's channel count; the projection
     emits 2 * out_half channels that split into scale logits and shifts.
     Each edge holds the parameters of every op in `ops`, or, given `held`
-    (one op name per edge), only those of its held op. The kernels are drawn
-    from `rng` for every op in menu order, so a held op's kernels do not
-    depend on `held`; without `rng` every parameter starts at zero.
+    (one op name per edge), only those of its held op, which is then the op
+    its discrete path runs. The kernels are drawn from `rng` for every op in
+    menu order, so a held op's kernels do not depend on `held`; without `rng`
+    every parameter starts at zero.
     """
 
     def __init__(self, in_channels: int, out_half: int, topology: CellTopology,
@@ -199,6 +232,7 @@ class Cell:
         self.out_half = out_half
         self.topology = topology
         self.ops = tuple(ops)
+        self.held = held
         c = in_channels
         self.edge_params: list[dict[str, list[Tensor]]] = []
         for e in range(topology.num_edges):
@@ -206,7 +240,7 @@ class Cell:
             for op in self.ops:
                 kernels = [np.zeros(shape) if rng is None else
                            rng.normal(0.0, KERNEL_INIT_STD, size=shape)
-                           for shape in op_param_shapes(op, c)]
+                           for shape in OPS[op].shapes(c)]
                 if held is None or held[e] == op:
                     per_op[op] = [Tensor(k, requires_grad=True) for k in kernels]
             self.edge_params.append(per_op)
@@ -225,29 +259,13 @@ class Cell:
         out.append(("proj/bias", self.proj_bias))
         return out
 
-    def _apply_op(self, op: str, params: list[Tensor], x: Tensor) -> Tensor | None:
-        if op == "zero":
-            return None
-        if op in ("identity", "skip_connect"):
-            return x
-        if op == "avg_pool_3x3":
-            return ad.avg_pool3x3(x)
-        if op == "max_pool_3x3":
-            return ad.max_pool3x3(x)
-        if op == "sep_conv_3x3" or op == "sep_conv_5x5":
-            depthwise, pointwise = params
-            h = ad.conv2d(x, depthwise, dilation=1, groups=self.in_channels)
-            return ad.conv2d(h, pointwise)
-        if op == "dil_conv_3x3" or op == "dil_conv_5x5":
-            return ad.conv2d(x, params[0], dilation=2)
-        raise ConfigError(f"unknown candidate operation {op!r}")
-
     def forward(self, h: Tensor, edge_weights, mode: str) -> tuple[Tensor, Tensor]:
         """Evaluate the DAG. `edge_weights` is indexable per edge: either
         one-hot numpy rows (discrete) or relaxed weights, each of length
         len(ops) or, for M architecture samples at once, of shape
         (M, len(ops)); sample j then weights the j-th of M equal row groups
-        of `h`."""
+        of `h`. A cell with held ops runs them in discrete mode, whatever
+        the rows."""
         if h.shape[1] != self.in_channels:
             raise ShapeError(
                 f"cell expects {self.in_channels} conditioning channels, got {h.shape[1]}"
@@ -278,9 +296,8 @@ class Cell:
     def _edge_output(self, e: int, src: Tensor, weights, mode: str) -> Tensor | None:
         per_op = self.edge_params[e]
         if mode == "discrete":
-            w = np.asarray(weights if not isinstance(weights, Tensor) else weights.data)
-            op = self.ops[int(np.argmax(w))]
-            return self._apply_op(op, per_op[op], src)
+            op = self.ops[int(np.argmax(weights))] if self.held is None else self.held[e]
+            return OPS[op].forward(per_op[op], src)
         w = Tensor._lift(weights)
         m = w.shape[0] if w.ndim == 2 else 1
         if src.shape[0] % m:
@@ -289,7 +306,7 @@ class Cell:
         cols = w.reshape(m, 1, 1, 1, 1, -1)  # one weight per op and row group
         acc: Tensor | None = None
         for k, op in enumerate(self.ops):
-            out = self._apply_op(op, per_op[op], src)
+            out = OPS[op].forward(per_op[op], src)
             if out is None:
                 continue  # the zero op contributes nothing in any mixture
             term = out.reshape(groups) * cols[..., k]
@@ -297,44 +314,15 @@ class Cell:
         return None if acc is None else acc.reshape(src.shape)
 
 
-def op_param_shapes(op: str, channels: int) -> list[tuple[int, ...]]:
-    if op == "sep_conv_3x3":
-        return [(channels, 1, 3, 3), (channels, channels, 1, 1)]
-    if op == "sep_conv_5x5":
-        return [(channels, 1, 5, 5), (channels, channels, 1, 1)]
-    if op == "dil_conv_3x3":
-        return [(channels, channels, 3, 3)]
-    if op == "dil_conv_5x5":
-        return [(channels, channels, 5, 5)]
-    return []
-
-
-def serialize_architecture(obj, dist: ArchDistribution | None = None) -> str:
-    """Text form: one `edge <i>-><j>: ...` line per edge.
-
-    A discrete ArchSample lists chosen op names; an ArchDistribution lists
-    probability rows. Cell groups are separated by `# cell <g>` headers when
-    there is more than one group.
-    """
-    if isinstance(obj, ArchDistribution):
-        dist = obj
-        rows = [" ".join(f"{p:.6f}" for p in row) for row in obj.probs()]
-        topology, groups = obj.topology, obj.num_cell_groups
-    elif isinstance(obj, ArchSample):
-        if dist is None:
-            raise UsageError("serializing a sample requires its distribution for op names")
-        if obj.mode != "discrete":
-            rows = [" ".join(f"{p:.6f}" for p in row) for row in obj.weights]
-        else:
-            rows = [dist.ops[k] for k in obj.argmax_ops()]
-        topology, groups = dist.topology, dist.num_cell_groups
-    else:
-        raise UsageError(f"cannot serialize {type(obj).__name__}")
+def serialize_architecture(dist: ArchDistribution) -> str:
+    """Text form: one `edge <i>-><j>: <op probabilities>` line per edge, with
+    cell groups separated by `# cell <g>` headers when there is more than one."""
+    rows = [" ".join(f"{p:.6f}" for p in row) for row in dist.probs()]
     buf = io.StringIO()
-    ne = topology.num_edges
-    for g in range(groups):
-        if groups > 1:
+    ne = dist.topology.num_edges
+    for g in range(dist.num_cell_groups):
+        if dist.num_cell_groups > 1:
             buf.write(f"# cell {g}\n")
-        for e, (i, j) in enumerate(topology.edges):
+        for e, (i, j) in enumerate(dist.topology.edges):
             buf.write(f"edge {i}->{j}: {rows[g * ne + e]}\n")
     return buf.getvalue()

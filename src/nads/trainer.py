@@ -435,11 +435,11 @@ def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig) -> FlowMo
         raise ConfigError(f"dataset must be a nonempty (N, C, H, W) array, got {x.shape}")
 
     model = FlowModel(config.flow, seed=child_seed(config.seed, "retrain_init"), arch=arch)
-    model.initialize_actnorm(_draw_batch(x, max(2, config.batch_size), config.seed, -1), arch)
+    model.initialize_actnorm(_draw_batch(x, max(2, config.batch_size), config.seed, -1))
     params = [p for _, p in model.parameters()]
 
     def loss_at(step: int) -> Tensor:
-        return -model.log_prob(_draw_batch(x, config.batch_size, config.seed, step), arch).mean()
+        return -model.log_prob(_draw_batch(x, config.batch_size, config.seed, step)).mean()
 
     _guarded_steps("retrain", params, AdamState.for_params(params), config,
                    range(config.iterations), loss_at, config.learning_rate)

@@ -329,9 +329,9 @@ def per_sample_generate(ens, count, temperature, seed):
     rng_z = rng_for(seed, "latents")
     out = []
     for j in assignment:
-        model, arch = members[j].model, members[j].arch
+        model = members[j].model
         zs = [temperature * rng_z.normal(size=(1,) + shape) for shape in model.config.latent_shapes()]
-        out.append(model.inverse(zs, arch)[0])
+        out.append(model.inverse(zs)[0])
     return np.stack(out)
 
 

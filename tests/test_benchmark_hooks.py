@@ -85,3 +85,43 @@ def test_benchmark_hooks_resolve():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["ok"]
+
+
+CELL_PROBE = """
+import sys
+sys.path[:0] = [{src!r}, {perfbench!r}]
+import tracer
+import numpy as np
+import nads.autodiff as ad
+from nads.cli import PROFILES, flow_config_from
+import nads.search_space as ss
+flow = flow_config_from(PROFILES["desk"])
+c, h, w = flow.block_shapes()[0]
+cell = ss.Cell((c + 1) // 2, c // 2, flow.topology, flow.ops, np.random.default_rng(0))
+weights = ss.sample_relaxed(ss.ArchDistribution.uniform(flow.ops, flow.topology), 0).weights
+x = ad.Tensor(np.random.default_rng(1).normal(size=(4, (c + 1) // 2, h, w)))
+t = tracer.Tracer()
+installed = tracer.Installed(t)
+try:
+    cell.forward(x, weights, "relaxed")
+finally:
+    installed.uninstall()
+spans = [t.names[i] for i in t.name]
+parents = [None if p < 0 else spans[p] for p in t.parent]
+kids = {{name: [q for s, q in zip(spans, parents) if s == name]
+        for name in ("autodiff.conv2d", "autodiff.pool")}}
+assert kids["autodiff.conv2d"] == ["search_space.cell"] * 36, kids  # 6 per edge
+assert kids["autodiff.pool"] == ["search_space.cell"] * 12, kids  # 2 per edge
+print("ok")
+"""
+
+
+def test_traced_cell_shows_its_convolutions_and_pools():
+    """The op table's forwards look conv2d and the pools up when they run,
+    so the tracer's rebound wrappers see every spatial op of a relaxed desk
+    cell, as children of the cell's span."""
+    code = CELL_PROBE.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["ok"]

@@ -311,9 +311,6 @@ def _checkpoint_args(patch):
     _checkpoint_args(_edit_header(lambda h: h.pop("arch"))),
     _member_args(lambda e: e.update(checkpoint=7)),
     _member_args(lambda e: e.update(sha256=None)),
-    _member_args(lambda e: e.update(raw_log_mass="nan")),
-    _member_args(lambda e: e.update(raw_log_mass=float("nan"))),
-    _member_args(lambda e: e.update(raw_log_mass=True)),
     _flag_args("search", "--config", A_DIRECTORY),
     _flag_args("search", "--data", A_DIRECTORY),
     _flag_args("score", "--data", A_DIRECTORY),
@@ -371,7 +368,7 @@ def _checkpoint_args(patch):
         "checkpoint-forged-64-channels",
         "checkpoint-arch-op-not-in-menu", "checkpoint-arch-row-count",
         "checkpoint-arch-not-a-list", "checkpoint-arch-missing", "member-checkpoint-int", "member-sha256-null",
-        "member-mass-string", "member-mass-nan", "member-mass-bool", "config-directory",
+        "config-directory",
         "data-manifest-directory", "score-data-directory", "data-split-directory",
         "data-split-not-string", "data-manifest-not-utf8", "points-not-utf8",
         "points-field-too-long", "report-not-utf8", "temperature-nan", "temperature-inf",
@@ -578,8 +575,8 @@ class TestPipelineArtifacts:
         out = toy_pipeline["root"] / "ensemble"
         doc = json.loads((out / "ensemble.json").read_text())
         assert len(doc["members"]) == 3
-        for m in doc["members"]:  # members weigh 1/M; the mass is provenance only
-            assert "weight" not in m and m["raw_log_mass"] < 0
+        for m in doc["members"]:  # the checkpoint, whose header holds the arch, and its hash
+            assert set(m) == {"checkpoint", "sha256"}
         for j in range(3):
             assert (out / f"member_{j:02d}.nadsflw").exists()
         manifest = json.loads((out / "manifest.json").read_text())

@@ -45,7 +45,7 @@ def stub_member(lls, arch_op=1):
     w = np.zeros((2, 2))
     w[:, arch_op] = 1.0
     model = FlowModel(TOY_FLOW, seed=0, arch=ArchSample("discrete", w))
-    member = EnsembleMember(model, raw_log_mass=0.0)
+    member = EnsembleMember(model)
     member.log_prob = lambda x, lls=np.asarray(lls, dtype=np.float64): lls
     return member
 
@@ -123,8 +123,8 @@ class TestConvergence:
             def __init__(self, arch):
                 self.arch = arch
 
-            def log_prob(self, x, arch):
-                return Tensor(np.full(len(x), TestConvergence.LOGLIK[arch.argmax_ops()[0]]))
+            def log_prob(self, x, arch=None):
+                return Tensor(np.full(len(x), TestConvergence.LOGLIK[self.arch.argmax_ops()[0]]))
 
         monkeypatch.setattr(nads.ensemble, "retrain",
                             lambda arch, data, config: OracleModel(arch))
@@ -151,8 +151,6 @@ class TestBuild:
                             batch_size=32, ensemble_size=3, seed=1)
         ens = build_ensemble(dist, data, cfg, seed=5)
         assert len(ens.members) == 3
-        for mem in ens.members:  # the architecture's mass is kept as provenance
-            assert mem.raw_log_mass == pytest.approx(2 * np.log(0.5))
         scores = ensemble_waic(ens, data[:7])
         assert scores.shape == (7,)
         assert np.isfinite(scores).all()
@@ -168,7 +166,7 @@ class TestBuild:
                             batch_size=16, ensemble_size=3, seed=2)
         ens = build_ensemble(dist, data, cfg, seed=6)
         for mem in ens.members:
-            assert (mem.arch.argmax_ops() == 1).all()
+            assert (mem.model.arch.argmax_ops() == 1).all()
         # independent retraining seeds give parameter diversity
         p0 = ens.members[0].model.parameters()[0][1].data
         p1 = ens.members[1].model.parameters()[0][1].data
@@ -238,7 +236,7 @@ class TestGenerate:
             for _, p in model.parameters():
                 p.data = p.data + rng.normal(0.0, 0.05, p.data.shape)
             model.initialize_actnorm(rng.random((4, 1, 8, 8)), arch)
-            members.append(EnsembleMember(model, raw_log_mass=0.0))
+            members.append(EnsembleMember(model))
         ens = Ensemble(members)
         batched = generate_samples(ens, count=12, temperature=0.7, seed=5)
         looped = per_sample_generate(ens, count=12, temperature=0.7, seed=5)
@@ -264,7 +262,7 @@ class TestManifest:
         x = data[:5]
         np.testing.assert_array_equal(ensemble_waic(loaded, x), ensemble_waic(ens, x))
         for mem, orig in zip(loaded.members, ens.members):
-            np.testing.assert_array_equal(mem.arch.weights, orig.arch.weights)
+            np.testing.assert_array_equal(mem.model.arch.weights, orig.model.arch.weights)
 
     def test_weight_key_of_older_manifests_ignored(self, tmp_path):
         data = mixture_data(150)
@@ -281,6 +279,29 @@ class TestManifest:
         x = data[:5]
         np.testing.assert_array_equal(ensemble_waic(load_ensemble(manifest), x),
                                       ensemble_waic(ens, x))
+
+    def test_keys_of_older_manifests_ignored(self, tmp_path):
+        """An entry carrying every key older versions wrote loads and scores
+        as its two-key form does."""
+        data = mixture_data(150)
+        dist = ArchDistribution.uniform(("zero", "identity"), CHAIN, 1)
+        cfg = RetrainConfig(flow=TOY_FLOW, iterations=2, learning_rate=1e-2,
+                            batch_size=16, ensemble_size=2, seed=6)
+        manifest = save_ensemble(build_ensemble(dist, data, cfg, seed=10), tmp_path)
+        doc = json.loads(manifest.read_text())
+        assert all(set(e) == {"checkpoint", "sha256"} for e in doc["members"])
+        x = data[:5]
+        two_key = load_ensemble(manifest)
+        for e in doc["members"]:
+            e.update(arch_text="edge 0->1: identity\nedge 1->2: zero\n",
+                     raw_log_mass=2 * np.log(0.5), weight=0.5, arch_ops=[1, 0])
+        manifest.write_text(json.dumps(doc))
+        older = load_ensemble(manifest)
+        np.testing.assert_array_equal(member_logliks(older, x).values,
+                                      member_logliks(two_key, x).values)
+        np.testing.assert_array_equal(ensemble_waic(older, x), ensemble_waic(two_key, x))
+        for mem, ref in zip(older.members, two_key.members):
+            np.testing.assert_array_equal(mem.model.arch.weights, ref.model.arch.weights)
 
     @pytest.mark.parametrize("edit", [
         lambda h: h["arch"].__setitem__(0, "sep_conv_3x3"),  # an op kind, not in the menu

@@ -673,11 +673,34 @@ class TestMemberModel:
         member = FlowModel(MEMBER_FLOW, seed=5, arch=arch)
         x = RNG.normal(size=(2, 3, 8, 8))
         member.initialize_actnorm(x, arch)
-        for args in [(other,), (relaxed,), (None,), (None, relaxed.weights)]:
+        zs = [z.data for z in member.forward(x)[0]]
+        for args in [(other,), (relaxed,), (None, relaxed.weights), (arch, relaxed.weights)]:
+            for run in (member.log_prob, member.forward):
+                with pytest.raises(ConfigError, match="architecture"):
+                    run(x, *args)
+        for wrong in (other, relaxed):
             with pytest.raises(ConfigError, match="architecture"):
-                member.log_prob(x, *args)
+                member.inverse(zs, wrong)
+            with pytest.raises(ConfigError, match="architecture"):
+                member.initialize_actnorm(x, wrong)
         with pytest.raises(ConfigError, match="discrete"):
             FlowModel(MEMBER_FLOW, arch=relaxed)
+
+    def test_runs_its_own_architecture_when_given_none(self):
+        arch = self.archs()[0][0]
+        x = RNG.normal(size=(4, 3, 8, 8))
+        own, given = (FlowModel(MEMBER_FLOW, seed=5, arch=arch) for _ in range(2))
+        own.initialize_actnorm(x)
+        given.initialize_actnorm(x, arch)
+        for (name, p), (_, q) in zip(own.parameters(), given.parameters()):
+            np.testing.assert_array_equal(p.data, q.data, err_msg=name)
+        np.testing.assert_array_equal(own.log_prob(x).data, given.log_prob(x, arch).data)
+        (zs, logdet), (zs_given, logdet_given) = own.forward(x), given.forward(x, arch)
+        np.testing.assert_array_equal(logdet.data, logdet_given.data)
+        for z, z_given in zip(zs, zs_given):
+            np.testing.assert_array_equal(z.data, z_given.data)
+        latents = [z.data for z in zs]
+        np.testing.assert_array_equal(own.inverse(latents), given.inverse(latents, arch))
 
 
 class TestCheckpoint:

@@ -302,12 +302,6 @@ class TestGradients:
 
 
 class TestSerialization:
-    def test_discrete_sample_lists_ops(self):
-        dist = ArchDistribution.uniform(("identity", "zero"), CHAIN, 1)
-        sample = ArchSample("discrete", np.array([[1.0, 0.0], [0.0, 1.0]]))
-        text = serialize_architecture(sample, dist)
-        assert text == "edge 0->1: identity\nedge 1->2: zero\n"
-
     def test_distribution_lists_probability_rows(self):
         dist = single_edge_dist([0.75, 0.25])
         text = serialize_architecture(dist)

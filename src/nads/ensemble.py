@@ -49,16 +49,12 @@ class Ensemble:
         return self.members[0].model.config.in_shape
 
 
-class EnsembleBuildError(NadsError, RuntimeError):
-    """Raised when a member fails to retrain."""
-
-
 def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConfig,
                    num_members: int | None = None, seed: int = 0,
                    provenance: dict | None = None) -> Ensemble:
     """Draw discrete architectures and retrain each with an independent seed.
     Duplicate draws are kept as distinct members, so an architecture counts
-    as often as it was drawn."""
+    as often as it was drawn; a member's failure is raised again, naming it."""
     m = config.ensemble_size if num_members is None else num_members
     if m < 1:
         raise ConfigError("ensemble size must be at least 1")
@@ -69,8 +65,8 @@ def build_ensemble(dist: ArchDistribution, data: np.ndarray, config: RetrainConf
         try:
             model = retrain(arch, data, member_cfg)
         except NadsError as exc:
-            raise EnsembleBuildError(f"retraining member {j} failed: {exc} ({len(members)} "
-                                     "member(s) completed before the failure)") from exc
+            raise type(exc)(f"retraining member {j} failed: {exc} ({len(members)} "
+                            "member(s) completed before the failure)") from exc
         members.append(EnsembleMember(model))
     info = {"seed": seed, "num_members": m, "tau": dist.tau}
     info.update(provenance or {})
@@ -145,9 +141,10 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
 def load_ensemble(manifest_path) -> Ensemble:
     """Read a manifest written by save_ensemble. Each member checkpoint is
     read once, and its bytes must match the sha256 recorded for it before
-    they are decoded; the checkpoint holds the member's architecture. The
-    `weight`, `arch_ops`, `arch_text` and `raw_log_mass` keys that older
-    manifests carry are ignored."""
+    they are decoded; the checkpoint holds the member's architecture, and its
+    flow config must equal the first member's. The `weight`, `arch_ops`,
+    `arch_text` and `raw_log_mass` keys that older manifests carry are
+    ignored."""
     path = Path(manifest_path)
     if not path.is_file():
         raise FileNotFoundError(f"ensemble manifest {path} not found or not a file")
@@ -169,5 +166,8 @@ def load_ensemble(manifest_path) -> Ensemble:
         model = load_checkpoint(ckpt, blob)
         if model.arch is None:
             raise DataError(f"member checkpoint {ckpt} holds a supernet, not one architecture")
+        if members and model.config != members[0].model.config:
+            raise DataError(f"member checkpoint {ckpt} holds a different flow config than "
+                            "the first member's")
         members.append(EnsembleMember(model))
     return Ensemble(members, provenance=manifest.get("provenance", {}))

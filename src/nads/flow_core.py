@@ -190,24 +190,24 @@ class AffineCoupling:
         self.c_tr = channels - self.c_cond
         self.cell = Cell(self.c_cond, self.c_tr, topology, ops, rng, held)
 
-    def _scale_and_shift(self, x1: Tensor, rows, mode: str) -> tuple[Tensor, Tensor, Tensor]:
-        s, t = self.cell.forward(x1, rows, mode)
+    def _scale_and_shift(self, x1: Tensor, edges) -> tuple[Tensor, Tensor, Tensor]:
+        s, t = self.cell.forward(x1, edges)
         pre = s + 2.0
         return pre.sigmoid(), pre.log_sigmoid(), t
 
-    def forward(self, x: Tensor, rows, mode: str) -> tuple[Tensor, Tensor]:
+    def forward(self, x: Tensor, edges) -> tuple[Tensor, Tensor]:
         x1 = x[:, : self.c_cond]
         x2 = x[:, self.c_cond :]
-        scale, log_scale, t = self._scale_and_shift(x1, rows, mode)
+        scale, log_scale, t = self._scale_and_shift(x1, edges)
         y2 = x2 * scale + t
         logdet = log_scale.sum(axis=(1, 2, 3))
         return ad.concat([x1, y2], axis=1), logdet
 
-    def inverse(self, y: np.ndarray, rows, mode: str) -> np.ndarray:
+    def inverse(self, y: np.ndarray, edges) -> np.ndarray:
         y1 = y[:, : self.c_cond]
         y2 = y[:, self.c_cond :]
         with ad.no_grad():
-            scale, _, t = self._scale_and_shift(Tensor(y1), rows, mode)
+            scale, _, t = self._scale_and_shift(Tensor(y1), edges)
         if scale.data.min() < MIN_COUPLING_SCALE:
             raise NumericError(
                 f"coupling scale below {MIN_COUPLING_SCALE:g}; inverse is ill-conditioned"
@@ -346,8 +346,8 @@ def _cell_rows(config: FlowConfig) -> list[list[range | None]]:
 
 
 def _held_ops(config: FlowConfig, arch: ArchSample | None) -> tuple[str, ...] | None:
-    """The op name that a model built for `arch` holds on each logits row,
-    or None for the supernet (no `arch`)."""
+    """The op name that `arch` picks on each logits row, which a model built
+    for it holds, or None for the supernet (no `arch`)."""
     if arch is None:
         return None
     if arch.mode != "discrete" or arch.weights.shape != config.logits_shape():
@@ -438,11 +438,11 @@ class FlowModel:
     Without `arch` the model is the supernet: every cell edge holds every
     candidate op, and it runs any architecture, relaxed or discrete. Built
     for a discrete `arch`, it is that architecture's member: each edge holds
-    only the op `arch` picks there, and it runs `arch` alone, also when its
-    `forward`, `log_prob`, `inverse` and `initialize_actnorm` are given no
-    architecture. Either way each step draws its initialization from its own
-    stream of `seed`, every op's kernels included, so a member starts from
-    the supernet's values of the parameters it holds."""
+    only the op `arch` picks there (named in `held`) and it runs `arch` alone,
+    also when its `forward`, `log_prob`, `inverse` and `initialize_actnorm`
+    are given no architecture. Either way each step draws its initialization
+    from its own stream of `seed`, every op's kernels included, so a member
+    starts from the supernet's values of the parameters it holds."""
 
     def __init__(self, config: FlowConfig, seed: int = 0, arch: ArchSample | None = None):
         self._build(config, arch, seed)
@@ -457,13 +457,12 @@ class FlowModel:
         return model
 
     def _build(self, config: FlowConfig, arch: ArchSample | None, seed: int | None) -> None:
-        held = _held_ops(config, arch)
-        self.config, self.arch = config, arch
+        self.config, self.arch, self.held = config, arch, _held_ops(config, arch)
         self.blocks: list[list[FlowStep]] = []
         for b, ((c, _, _), block_rows) in enumerate(zip(config.block_shapes(), _cell_rows(config))):
             rngs = [None if seed is None else rng_for(seed, "flow_init", b, k)
                     for k in range(len(block_rows))]
-            self.blocks.append([FlowStep(c, config, rows, rng, held)
+            self.blocks.append([FlowStep(c, config, rows, rng, self.held)
                                 for rows, rng in zip(block_rows, rngs)])
 
     # -- parameter registry -------------------------------------------------
@@ -480,12 +479,14 @@ class FlowModel:
 
     # -- arch plumbing --------------------------------------------------------
 
-    def _resolve_weights(self, arch: ArchSample | None, weights_override):
-        """The per-edge weight rows and the cell mode. A relaxed override of
-        shape (M, rows, K) holds M architecture samples; it comes back as
-        (rows, M, K), so each edge's row weights the M row groups of the
-        batch. A 2-D (rows, K) override is the case M = 1. A member model
-        runs only its own architecture, and runs it when `arch` is None."""
+    def _edge_plan(self, arch: ArchSample | None, weights_override):
+        """The edge plan, one entry per logits row: the op name that a member
+        holds or a discrete `arch` picks, or else relaxed weight rows. A
+        relaxed override of shape (M, rows, K) holds M architecture samples;
+        it comes back as (rows, M, K), so each edge's row weights the M row
+        groups of the batch. A 2-D (rows, K) override is the case M = 1. A
+        member model runs only its own architecture, and runs it when `arch`
+        is None."""
         if self.arch is not None:
             other = arch is not None and arch is not self.arch and (
                 arch.mode != "discrete"
@@ -493,22 +494,22 @@ class FlowModel:
             if weights_override is not None or other:
                 raise ConfigError("this model holds only the ops of the architecture it was "
                                   "built for, and runs only that architecture")
-            return self.arch.weights, "discrete"
+            return self.held
+        discrete = weights_override is None and arch is not None and arch.mode == "discrete"
         if weights_override is not None:
-            mode = "relaxed"
             source = weights_override
         elif arch is not None:
-            mode = arch.mode
             source = arch.weights
         else:
             # Uniform mixture; only meaningful before the cells differentiate.
-            mode = "relaxed"
             source = np.full(self.config.logits_shape(), 1.0 / len(self.config.ops))
         expected = self.config.logits_shape()
-        stacked = mode == "relaxed" and source.ndim == 3
+        stacked = not discrete and source.ndim == 3
         if source.shape[-2:] != expected or source.ndim != (3 if stacked else 2):
             raise ShapeError(f"architecture weights {source.shape} do not match {expected}")
-        return (source.transpose(1, 0, 2) if stacked else source), mode
+        if discrete:
+            return _held_ops(self.config, arch)
+        return source.transpose(1, 0, 2) if stacked else source
 
     # -- core transforms ---------------------------------------------------
 
@@ -517,17 +518,17 @@ class FlowModel:
         if x.ndim != 4 or x.shape[1:] != (c, h, w):
             raise ShapeError(f"expected input (N, {c}, {h}, {w}), got {x.shape}")
 
-    def _walk(self, weights):
+    def _walk(self, plan):
         """The model's layout in forward order, as (kind, block, step index,
-        step, arch weight rows) tuples: per block a "squeeze" (when
-        configured), its "step"s, and a "split" after every block but the
-        last. Each coupled step gets the weight rows of its cell's edges."""
+        step, edge plan) tuples: per block a "squeeze" (when configured), its
+        "step"s, and a "split" after every block but the last. Each coupled
+        step gets the entries of `plan` on its cell's rows."""
         for b, steps in enumerate(self.blocks):
             if self.config.squeeze:
                 yield "squeeze", b, None, None, None
             for k, step in enumerate(steps):
-                rows = None if step.rows is None else [weights[i] for i in step.rows]
-                yield "step", b, k, step, rows
+                edges = None if step.rows is None else [plan[i] for i in step.rows]
+                yield "step", b, k, step, edges
             if b < len(self.blocks) - 1:
                 yield "split", b, None, None, None
 
@@ -536,17 +537,16 @@ class FlowModel:
         """Map data to the latent stack; returns (z list, per-sample log-det)."""
         data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
         self._check_input(data)
-        weights, mode = self._resolve_weights(arch, weights_override)
+        plan = self._edge_plan(arch, weights_override)
         h = x if isinstance(x, Tensor) else Tensor(data)
-        return self._forward(h, weights, mode)
+        return self._forward(h, plan)
 
-    def _forward(self, h: Tensor, weights, mode: str,
-                 initialize: bool = False) -> tuple[list[Tensor], Tensor]:
+    def _forward(self, h: Tensor, plan, initialize: bool = False) -> tuple[list[Tensor], Tensor]:
         """forward's walk; with `initialize`, each actnorm is first fitted to
         the activation that reaches it."""
         logdet = Tensor(np.zeros(h.shape[0]))
         zs: list[Tensor] = []
-        for kind, b, k, step, rows in self._walk(weights):
+        for kind, b, k, step, edges in self._walk(plan):
             if kind == "squeeze":
                 h = _squeeze(h)
                 continue
@@ -563,7 +563,7 @@ class FlowModel:
                 h, ld = step.inv1x1.forward(h)
                 logdet = logdet + ld
                 if step.coupling is not None:
-                    h, ld = step.coupling.forward(h, rows, mode)
+                    h, ld = step.coupling.forward(h, edges)
                     logdet = logdet + ld
             except NumericError as exc:
                 raise NumericError(f"block {b} step {k}: {exc}") from exc
@@ -580,9 +580,9 @@ class FlowModel:
         for z, s in zip(zs, shapes):
             if tuple(z.shape[1:]) != s:
                 raise ShapeError(f"latent shape {z.shape[1:]} does not match {s}")
-        weights, mode = self._resolve_weights(arch, None)
+        plan = self._edge_plan(arch, None)
         h = np.asarray(zs[-1], dtype=np.float64)
-        for kind, b, k, step, rows in reversed(list(self._walk(weights))):
+        for kind, b, k, step, edges in reversed(list(self._walk(plan))):
             if kind == "squeeze":
                 h = _unsqueeze_np(h)
                 continue
@@ -590,7 +590,7 @@ class FlowModel:
                 h = np.concatenate([np.asarray(zs[b], dtype=np.float64), h], axis=1)
                 continue
             if step.coupling is not None:
-                h = step.coupling.inverse(h, rows, mode)
+                h = step.coupling.inverse(h, edges)
             h = step.inv1x1.inverse(h)
             h = step.actnorm.inverse(h)
             if not np.all(np.isfinite(h)):
@@ -618,9 +618,9 @@ class FlowModel:
         self._check_input(batch)
         if batch.shape[0] < 2:
             raise ConfigError("actnorm initialization needs a batch of at least 2 samples")
-        weights, mode = self._resolve_weights(arch, None)
+        plan = self._edge_plan(arch, None)
         with ad.no_grad():
-            self._forward(Tensor(batch), weights, mode, initialize=True)
+            self._forward(Tensor(batch), plan, initialize=True)
 
 
 def backward(model: FlowModel, loss: Tensor, upstream=None) -> dict[str, np.ndarray]:
@@ -674,7 +674,7 @@ def save_checkpoint(model: FlowModel, path) -> None:
     steps = [[step.actnorm.initialized, step.inv1x1.perm.tolist(),
               step.inv1x1.sign_diag.astype(int).tolist()]
              for block in model.blocks for step in block]
-    header = json.dumps({"arch": _held_ops(model.config, model.arch),
+    header = json.dumps({"arch": model.held,
                          "flow": model.config.to_dict(), "steps": steps},
                         sort_keys=True, separators=(",", ":")).encode()
     parts = [CHECKPOINT_MAGIC, len(header).to_bytes(4, "little"), header]

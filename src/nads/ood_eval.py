@@ -19,6 +19,8 @@ import numpy as np
 from .data import write_table
 from .errors import ConfigError, DataError
 
+MAX_BINS = 10_000  # histogram bins; the edges and counts are allocated up front
+
 
 @dataclass
 class ScoredSets:
@@ -97,10 +99,10 @@ def histogram(in_scores, out_scores, num_bins: int = 30):
     """Shared equal-width binning over the joint range of both sets.
 
     Returns (edges, counts_in, counts_out); a degenerate range collapses to
-    a single bin holding everything.
+    a single bin holding everything. At most MAX_BINS bins.
     """
-    if num_bins < 1:
-        raise ConfigError(f"need at least one bin, got {num_bins}")
+    if not 1 <= num_bins <= MAX_BINS:
+        raise ConfigError(f"need between 1 and {MAX_BINS} bins, got {num_bins}")
     a = np.asarray(in_scores, dtype=np.float64).ravel()
     b = np.asarray(out_scores, dtype=np.float64).ravel()
     lo = min(a.min(), b.min())

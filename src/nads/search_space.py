@@ -3,11 +3,12 @@ categorical architecture distribution with Gumbel-Softmax sampling.
 
 The cell receives the conditioning half of the coupling layer's channels
 and emits per-element scale logits and shifts for the other half. Each DAG
-edge mixes (relaxed mode) or selects (discrete mode) one of the candidate
-operations; every node sums its incoming edges. A searched cell holds every
-operation's parameters, shared by every sampled architecture; a retrained
-member's cell holds, and runs, only the operation its architecture picked on
-each edge. `OPS` is the one table of candidate operations.
+edge runs the one candidate operation its plan entry names, or mixes every
+operation by the entry's relaxed weights; every node sums its incoming edges.
+A searched cell holds every operation's parameters, shared by every sampled
+architecture; a retrained member's cell holds only the operation its
+architecture picked on each edge. `OPS` is the one table of candidate
+operations.
 """
 
 from __future__ import annotations
@@ -219,10 +220,9 @@ class Cell:
     `in_channels` is the conditioning half's channel count; the projection
     emits 2 * out_half channels that split into scale logits and shifts.
     Each edge holds the parameters of every op in `ops`, or, given `held`
-    (one op name per edge), only those of its held op, which is then the op
-    its discrete path runs. The kernels are drawn from `rng` for every op in
-    menu order, so a held op's kernels do not depend on `held`; without `rng`
-    every parameter starts at zero.
+    (one op name per edge), only those of its held op. The kernels are drawn
+    from `rng` for every op in menu order, so a held op's kernels do not
+    depend on `held`; without `rng` every parameter starts at zero.
     """
 
     def __init__(self, in_channels: int, out_half: int, topology: CellTopology,
@@ -232,7 +232,6 @@ class Cell:
         self.out_half = out_half
         self.topology = topology
         self.ops = tuple(ops)
-        self.held = held
         c = in_channels
         self.edge_params: list[dict[str, list[Tensor]]] = []
         for e in range(topology.num_edges):
@@ -259,13 +258,12 @@ class Cell:
         out.append(("proj/bias", self.proj_bias))
         return out
 
-    def forward(self, h: Tensor, edge_weights, mode: str) -> tuple[Tensor, Tensor]:
-        """Evaluate the DAG. `edge_weights` is indexable per edge: either
-        one-hot numpy rows (discrete) or relaxed weights, each of length
-        len(ops) or, for M architecture samples at once, of shape
-        (M, len(ops)); sample j then weights the j-th of M equal row groups
-        of `h`. A cell with held ops runs them in discrete mode, whatever
-        the rows."""
+    def forward(self, h: Tensor, edges) -> tuple[Tensor, Tensor]:
+        """Evaluate the DAG. `edges` is the edge plan, indexable per edge:
+        an op name, which the edge runs alone, or relaxed weights that mix
+        every op, of length len(ops) or, for M architecture samples at once,
+        of shape (M, len(ops)); sample j then weights the j-th of M equal
+        row groups of `h`."""
         if h.shape[1] != self.in_channels:
             raise ShapeError(
                 f"cell expects {self.in_channels} conditioning channels, got {h.shape[1]}"
@@ -279,7 +277,7 @@ class Cell:
                     continue
                 if node_vals[src_i] is None:
                     continue  # source is exactly zero, so every op output is too
-                contrib = self._edge_output(e, node_vals[src_i], edge_weights[e], mode)
+                contrib = self._edge_output(e, node_vals[src_i], edges[e])
                 if contrib is None:
                     continue
                 if not np.all(np.isfinite(contrib.data)):
@@ -293,12 +291,11 @@ class Cell:
         t = out[:, self.out_half :]
         return s, t
 
-    def _edge_output(self, e: int, src: Tensor, weights, mode: str) -> Tensor | None:
+    def _edge_output(self, e: int, src: Tensor, edge) -> Tensor | None:
         per_op = self.edge_params[e]
-        if mode == "discrete":
-            op = self.ops[int(np.argmax(weights))] if self.held is None else self.held[e]
-            return OPS[op].forward(per_op[op], src)
-        w = Tensor._lift(weights)
+        if isinstance(edge, str):
+            return OPS[edge].forward(per_op[edge], src)
+        w = Tensor._lift(edge)
         m = w.shape[0] if w.ndim == 2 else 1
         if src.shape[0] % m:
             raise ShapeError(f"{src.shape[0]} rows do not split into {m} weight groups")

@@ -103,7 +103,7 @@ x = ad.Tensor(np.random.default_rng(1).normal(size=(4, (c + 1) // 2, h, w)))
 t = tracer.Tracer()
 installed = tracer.Installed(t)
 try:
-    cell.forward(x, weights, "relaxed")
+    cell.forward(x, weights)
 finally:
     installed.uninstall()
 spans = [t.names[i] for i in t.name]

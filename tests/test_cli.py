@@ -281,6 +281,24 @@ def _checkpoint_args(patch):
     return make
 
 
+def _mixed_flows(tmp_path):
+    """A flag value: an ensemble of an initialized toy2d member and desk
+    member, each with its hash recorded."""
+    from nads.cli import flow_config_from
+    from nads.ensemble import Ensemble, EnsembleMember, save_ensemble
+    from nads.flow_core import FlowModel
+    from nads.search_space import ArchDistribution, sample_discrete
+
+    members = []
+    for profile in ("toy2d", "desk"):
+        flow = flow_config_from(PROFILES[profile])
+        dist = ArchDistribution.uniform(flow.ops, flow.topology, flow.num_cell_groups())
+        model = FlowModel(flow, arch=sample_discrete(dist, 0))
+        model.initialize_actnorm(np.random.default_rng(0).normal(size=(4,) + flow.in_shape))
+        members.append(EnsembleMember(model))
+    return str(save_ensemble(Ensemble(members), tmp_path / "mixed"))
+
+
 @pytest.mark.parametrize("make_args", [
     _phi_args("{}"),
     _phi_args("{not json"),
@@ -359,6 +377,9 @@ def _checkpoint_args(patch):
     _config_args('{"retrain": {"beta1": 1.5}}', command="ensemble"),
     _config_args('{"retrain": {"grad_clip": -1}}', command="ensemble"),
     _config_args('{"search": {"grad_clip": -1}}'),
+    _flag_args("generate", "--ensemble", _mixed_flows),
+    _flag_args("score", "--ensemble", _mixed_flows),
+    _flag_args("eval", "--bins", lambda _: "1000000000"),
 ], ids=["phi-empty-object", "phi-not-json", "phi-tau-string", "phi-groups-float",
         "phi-groups-bool", "phi-logits-strings", "phi-logits-nan", "phi-six-key-layout",
         "phi-logits-rows-disagree-with-flow", "phi-logits-ragged", "data-manifest-not-json",
@@ -383,7 +404,8 @@ def _checkpoint_args(patch):
         "report-fifth-field", "report-sample-id-not-a-number",
         "ensemble-learning-rate-nan", "ensemble-learning-rate-inf", "search-learning-rate-nan",
         "search-learning-rate-inf", "retrain-eps-zero", "retrain-beta1-above-1",
-        "retrain-grad-clip-negative", "search-grad-clip-negative"])
+        "retrain-grad-clip-negative", "search-grad-clip-negative",
+        "generate-mixed-flows", "score-mixed-flows", "eval-bins-past-limit"])
 def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
     argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -535,6 +557,19 @@ def test_tampered_member_checkpoint_refused_before_load(tmp_path, toy_pipeline, 
                "--split", "test", "--out-dir", str(tmp_path / "out")])
     assert rc == 2
     assert "member_00.nadsflw" in capsys.readouterr().err
+
+
+def test_member_numeric_error_exits_3(tmp_path, toy_pipeline, capsys, monkeypatch):
+    import nads.ensemble
+    from nads.errors import NumericError
+
+    def diverge(*args):
+        raise NumericError("non-finite loss")
+
+    monkeypatch.setattr(nads.ensemble, "retrain", diverge)
+    rc = main(_toy_argv("ensemble", toy_pipeline) + ["--out-dir", str(tmp_path / "out")])
+    assert rc == 3
+    assert "member 0" in capsys.readouterr().err
 
 
 class TestDryRun:

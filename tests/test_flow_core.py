@@ -261,15 +261,15 @@ class TestAffineCoupling:
         coup.cell.proj_bias.data = rng.normal(0, 0.5, coup.cell.proj_bias.shape)
         dist = ArchDistribution.uniform(("identity", "zero"), CHAIN, 1)
         arch = sample_discrete(dist, 3)
-        rows = list(arch.weights)
+        rows = [("identity", "zero")[k] for k in arch.argmax_ops()]
         x = rng.normal(size=(1, 4, 2, 2))
         with ad.no_grad():
-            y, logdet = coup.forward(Tensor(x), rows, "discrete")
-        np.testing.assert_allclose(coup.inverse(y.data, rows, "discrete"), x, atol=1e-12)
+            y, logdet = coup.forward(Tensor(x), rows)
+        np.testing.assert_allclose(coup.inverse(y.data, rows), x, atol=1e-12)
 
         def f(flat):
             with ad.no_grad():
-                return coup.forward(Tensor(flat.reshape(1, 4, 2, 2)), rows, "discrete")[0].data.ravel()
+                return coup.forward(Tensor(flat.reshape(1, 4, 2, 2)), rows)[0].data.ravel()
 
         assert numerical_logdet(f, x.ravel()) == pytest.approx(logdet.item(), rel=1e-5)
 
@@ -278,18 +278,18 @@ class TestAffineCoupling:
         coup = AffineCoupling(4, CHAIN, ("identity",), rng)
         coup.cell.proj_weight.data = rng.normal(0, 5.0, coup.cell.proj_weight.shape)
         x = rng.normal(size=(2, 4, 2, 2))
-        rows = [np.array([1.0])] * 2
+        rows = ["identity"] * 2
         with ad.no_grad():
-            scale, _, _ = coup._scale_and_shift(Tensor(x[:, :2]), rows, "discrete")
+            scale, _, _ = coup._scale_and_shift(Tensor(x[:, :2]), rows)
         assert scale.data.min() > 0.0 and scale.data.max() < 1.0
 
     def test_singular_scale_raises(self):
         rng = np.random.default_rng(12)
         coup = AffineCoupling(2, CHAIN, ("identity", "zero"), rng)
         coup.cell.proj_bias.data[0] = -800.0  # sigmoid underflows to exactly 0
-        rows = [np.array([1.0, 0.0])] * 2
+        rows = ["identity"] * 2
         with pytest.raises(NumericError):
-            coup.inverse(np.zeros((1, 2, 2, 2)), rows, "discrete")
+            coup.inverse(np.zeros((1, 2, 2, 2)), rows)
 
 
 class TestForwardIdentity:

@@ -171,9 +171,9 @@ class TestCellForward:
 
     def test_all_zero_arch_gives_zero_scale_logits_and_shift(self):
         cell = self.make_cell(("identity", "zero"))
-        rows = [np.array([0.0, 1.0])] * 2
+        rows = ["zero"] * 2
         h = np.random.default_rng(1).normal(size=(2, 2, 3, 3))
-        s, t = cell.forward(Tensor(h), rows, "discrete")
+        s, t = cell.forward(Tensor(h), rows)
         np.testing.assert_array_equal(s.data, 0.0)
         np.testing.assert_array_equal(t.data, 0.0)
 
@@ -183,7 +183,7 @@ class TestCellForward:
         cell.proj_weight.data = rng.normal(size=cell.proj_weight.shape)
         cell.proj_bias.data = rng.normal(size=cell.proj_bias.shape)
         h = rng.normal(size=(2, 2, 2, 2))
-        s, t = cell.forward(Tensor(h), [np.array([1.0, 0.0])], "discrete")
+        s, t = cell.forward(Tensor(h), ["identity"])
         want = np.einsum("oc,nchw->nohw", cell.proj_weight.data, h) + cell.proj_bias.data.reshape(
             1, -1, 1, 1
         )
@@ -195,8 +195,8 @@ class TestCellForward:
         rng = np.random.default_rng(5)
         cell.proj_weight.data = rng.normal(size=cell.proj_weight.shape)
         h = rng.normal(size=(1, 2, 2, 2))
-        s_half, t_half = cell.forward(Tensor(h), [np.array([0.5, 0.5])], "relaxed")
-        s_full, t_full = cell.forward(Tensor(h), [np.array([1.0, 0.0])], "discrete")
+        s_half, t_half = cell.forward(Tensor(h), [np.array([0.5, 0.5])])
+        s_full, t_full = cell.forward(Tensor(h), ["identity"])
         np.testing.assert_allclose(s_half.data, 0.5 * s_full.data, atol=1e-12)
         np.testing.assert_allclose(t_half.data, 0.5 * t_full.data, atol=1e-12)
 
@@ -209,11 +209,11 @@ class TestCellForward:
         cell.proj_weight.data = rng.normal(0, 0.3, size=cell.proj_weight.shape)
         h = rng.normal(size=(2, 3, 4, 4))
         w = rng.dirichlet(np.ones(len(ops)))
-        s_mix, t_mix = cell.forward(Tensor(h), [w], "relaxed")
+        s_mix, t_mix = cell.forward(Tensor(h), [w])
         s_acc = np.zeros_like(s_mix.data)
         t_acc = np.zeros_like(t_mix.data)
         for k in range(len(ops)):
-            s_one, t_one = cell.forward(Tensor(h), [np.eye(len(ops))[k]], "discrete")
+            s_one, t_one = cell.forward(Tensor(h), [ops[k]])
             s_acc += w[k] * (s_one.data - cell.proj_bias.data[:3].reshape(1, -1, 1, 1))
             t_acc += w[k] * (t_one.data - cell.proj_bias.data[3:].reshape(1, -1, 1, 1))
         s_acc += cell.proj_bias.data[:3].reshape(1, -1, 1, 1)
@@ -232,15 +232,15 @@ class TestCellForward:
         cell.proj_bias.data = rng.normal(0, 0.3, size=cell.proj_bias.shape)
         h = rng.normal(size=(2, 3, 4, 4))
         weights = rng.dirichlet(np.ones(len(ops)), size=2)
-        s_mix, t_mix = cell.forward(Tensor(h), list(weights), "relaxed")
+        s_mix, t_mix = cell.forward(Tensor(h), list(weights))
         s_acc = np.zeros_like(s_mix.data)
         t_acc = np.zeros_like(t_mix.data)
         bias_s = cell.proj_bias.data[:3].reshape(1, -1, 1, 1)
         bias_t = cell.proj_bias.data[3:].reshape(1, -1, 1, 1)
         for e0 in range(len(ops)):
             for e1 in range(len(ops)):
-                rows = [np.eye(len(ops))[e0], np.eye(len(ops))[e1]]
-                s_one, t_one = cell.forward(Tensor(h), rows, "discrete")
+                rows = [ops[e0], ops[e1]]
+                s_one, t_one = cell.forward(Tensor(h), rows)
                 coeff = weights[0][e0] * weights[1][e1]
                 s_acc += coeff * (s_one.data - bias_s)
                 t_acc += coeff * (t_one.data - bias_t)
@@ -254,7 +254,7 @@ class TestCellForward:
             c = shape[1]
             cell = Cell(c, c, SINGLE, (op,), np.random.default_rng(9))
             h = rng.normal(size=shape)
-            out = cell._edge_output(0, Tensor(h), np.array([1.0]), "discrete")
+            out = cell._edge_output(0, Tensor(h), op)
             if op == "zero":
                 assert out is None
             else:
@@ -263,7 +263,7 @@ class TestCellForward:
     def test_channel_mismatch_raises(self):
         cell = self.make_cell(("identity", "zero"))
         with pytest.raises(ShapeError):
-            cell.forward(Tensor(np.zeros((1, 3, 2, 2))), [np.array([1.0, 0.0])] * 2, "discrete")
+            cell.forward(Tensor(np.zeros((1, 3, 2, 2))), ["identity"] * 2)
 
 
 class TestGradients:

@@ -14,6 +14,7 @@ need.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -427,16 +428,48 @@ def conv2d(x: Tensor, weight: Tensor, dilation: int = 1, groups: int = 1) -> Ten
     return _make(_correlate(x.data, weight.data, dilation, groups), (x, weight), vjp)
 
 
+def tap_columns(x: np.ndarray, taps_y: np.ndarray, taps_x: np.ndarray) -> np.ndarray:
+    """New (N, C, len(taps_y), len(taps_x), H, W) copy of the windows of `x`
+    at the given tap offsets: entry [n, c, a, b, i, j] is
+    x[n, c, i + taps_y[a], j + taps_x[b]], zero outside the map. Each
+    offset list is ascending and symmetric about 0."""
+    ry, rx = int(taps_y[-1]), int(taps_x[-1])
+    win = _windows(x, 2 * ry + 1, 2 * rx + 1)
+    if len(taps_y) == 2 * ry + 1 and len(taps_x) == 2 * rx + 1:
+        return win.copy()  # every tap of the window; a plain copy is faster
+    return win[:, :, (taps_y + ry)[:, None], taps_x + rx]
+
+
+def tap_correlate(x: np.ndarray, kernel: np.ndarray, taps_y: np.ndarray,
+                  taps_x: np.ndarray) -> np.ndarray:
+    """"Same" correlation of M row groups, each with its own kernel, as one
+    batched product. `kernel` is (M, C_out, C, len(taps_y), len(taps_x)) on
+    the tap offsets of `tap_columns`; the N rows of `x` split into M equal
+    groups, and group m is correlated with kernel[m]."""
+    n, c, h, w = x.shape
+    m, c_out = kernel.shape[:2]
+    cols = tap_columns(x, taps_y, taps_x).reshape(m, n // m, -1, h * w)
+    return (kernel.reshape(m, 1, c_out, -1) @ cols).reshape(n, c_out, h, w)
+
+
 def _window_sum(x: np.ndarray) -> np.ndarray:
     """Sum of each 3x3 "same" window, zero outside."""
     return _windows(x, 3, 3).sum(axis=(2, 3))
+
+
+@lru_cache(maxsize=None)
+def _valid_taps(h: int, w: int) -> np.ndarray:
+    """Read-only (1, 1, h, w) count of the 3x3 window taps inside an h x w map."""
+    count = _window_sum(np.ones((1, 1, h, w)))
+    count.flags.writeable = False
+    return count
 
 
 def avg_pool3x3(x: Tensor) -> Tensor:
     """3x3 mean pooling, stride 1, same padding; padding excluded from the count."""
     x = Tensor._lift(x)
     _check_nchw(x, "avg_pool3x3")
-    count = _window_sum(np.ones((1, 1) + x.data.shape[2:]))
+    count = _valid_taps(*x.data.shape[2:])
 
     def vjp(g):
         return (_window_sum(g / count),)

@@ -309,6 +309,11 @@ def cmd_ensemble(args) -> int:
     artifacts = [manifest_path] + sorted(out_dir.glob("member_*.nadsflw"))
     write_run_manifest(out_dir, "ensemble", doc_with_flow, seed,
                        [args.phi, args.data], artifacts, started)
+    halts = [f"member {j} at step {mem.model.halted_at}"
+             for j, mem in enumerate(ens.members) if mem.model.halted_at is not None]
+    if halts:
+        print(f"retraining halted by the divergence guard: {', '.join(halts)}", file=sys.stderr)
+        return 3
     print(f"ensemble of {len(ens.members)} members -> {manifest_path}")
     return 0
 

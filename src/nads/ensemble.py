@@ -21,6 +21,8 @@ from .trainer import RetrainConfig, retrain
 from .waic import LogLikMatrix, waic_per_sample
 from .seeding import child_seed, rng_for
 
+MAX_SAMPLES = 100_000  # per generate call; its draws and output are allocated up front
+
 
 @dataclass
 class EnsembleMember:
@@ -90,9 +92,9 @@ def generate_samples(ens: Ensemble, count: int, temperature: float = 1.0, seed: 
                      clip_range: tuple[float, float] | None = None) -> np.ndarray:
     """Draw latents at the given temperature and invert them to data space,
     each sample through a member chosen uniformly. With temperature 0 every
-    draw is the latent origin's image."""
-    if count < 1:
-        raise ConfigError("count must be at least 1")
+    draw is the latent origin's image. At most MAX_SAMPLES samples."""
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ConfigError(f"count must be between 1 and {MAX_SAMPLES}, got {count}")
     if not (np.isfinite(temperature) and temperature >= 0):
         raise ConfigError(f"temperature must be finite and nonnegative, got {temperature}")
     members = ens.members
@@ -123,7 +125,10 @@ def generate_samples(ens: Ensemble, count: int, temperature: float = 1.0, seed: 
 
 
 def save_ensemble(ens: Ensemble, directory) -> Path:
-    """Write member checkpoints and the JSON manifest; returns the manifest path."""
+    """Write member checkpoints and the JSON manifest; returns the manifest
+    path. Each member entry names its checkpoint, the checkpoint's sha256,
+    and the step at which the member's retraining halted (null if it did
+    not)."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -131,7 +136,8 @@ def save_ensemble(ens: Ensemble, directory) -> Path:
         ckpt = d / f"member_{j:02d}.nadsflw"
         save_checkpoint(mem.model, ckpt)
         entries.append({"checkpoint": ckpt.name,
-                        "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest()})
+                        "sha256": hashlib.sha256(ckpt.read_bytes()).hexdigest(),
+                        "halted_at": mem.model.halted_at})
     manifest = {"members": entries, "provenance": ens.provenance}
     path = d / "ensemble.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
@@ -142,7 +148,8 @@ def load_ensemble(manifest_path) -> Ensemble:
     """Read a manifest written by save_ensemble. Each member checkpoint is
     read once, and its bytes must match the sha256 recorded for it before
     they are decoded; the checkpoint holds the member's architecture, and its
-    flow config must equal the first member's. The `weight`, `arch_ops`,
+    flow config must equal the first member's. A member without `halted_at`,
+    as older manifests write it, did not halt. The `weight`, `arch_ops`,
     `arch_text` and `raw_log_mass` keys that older manifests carry are
     ignored."""
     path = Path(manifest_path)
@@ -151,12 +158,13 @@ def load_ensemble(manifest_path) -> Ensemble:
     try:  # decode_value's ConfigError is a ValueError; deep JSON is a RecursionError
         manifest = json.loads(path.read_text())
         entries = [(decode_value(e["checkpoint"], str, f"members[{i}].checkpoint"),
-                    decode_value(e["sha256"], str, f"members[{i}].sha256"))
+                    decode_value(e["sha256"], str, f"members[{i}].sha256"),
+                    decode_value(e.get("halted_at"), int | None, f"members[{i}].halted_at"))
                    for i, e in enumerate(manifest["members"])]
     except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise DataError(f"{path} is not a valid ensemble manifest: {exc!r}") from exc
     members = []
-    for name, sha256 in entries:
+    for name, sha256, halted_at in entries:
         ckpt = path.parent / name
         if not ckpt.is_file():
             raise FileNotFoundError(f"member checkpoint {ckpt} not found or not a file")
@@ -169,5 +177,6 @@ def load_ensemble(manifest_path) -> Ensemble:
         if members and model.config != members[0].model.config:
             raise DataError(f"member checkpoint {ckpt} holds a different flow config than "
                             "the first member's")
+        model.halted_at = halted_at
         members.append(EnsembleMember(model))
     return Ensemble(members, provenance=manifest.get("provenance", {}))

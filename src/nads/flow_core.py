@@ -458,6 +458,9 @@ class FlowModel:
 
     def _build(self, config: FlowConfig, arch: ArchSample | None, seed: int | None) -> None:
         self.config, self.arch, self.held = config, arch, _held_ops(config, arch)
+        # The step at which `trainer.retrain`'s divergence guard halted this
+        # model's training, or None; `ensemble.json` records it per member.
+        self.halted_at: int | None = None
         self.blocks: list[list[FlowStep]] = []
         for b, ((c, _, _), block_rows) in enumerate(zip(config.block_shapes(), _cell_rows(config))):
             rngs = [None if seed is None else rng_for(seed, "flow_init", b, k)

@@ -4,7 +4,8 @@ categorical architecture distribution with Gumbel-Softmax sampling.
 The cell receives the conditioning half of the coupling layer's channels
 and emits per-element scale logits and shifts for the other half. Each DAG
 edge runs the one candidate operation its plan entry names, or mixes every
-operation by the entry's relaxed weights; every node sums its incoming edges.
+operation by the entry's relaxed weights, its convolutions folded into one
+kernel (`_folded_convolutions`); every node sums its incoming edges.
 A searched cell holds every operation's parameters, shared by every sampled
 architecture; a retrained member's cell holds only the operation its
 architecture picked on each edge. `OPS` is the one table of candidate
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -24,27 +26,63 @@ from .autodiff import Tensor
 from .errors import ConfigError, NumericError, ShapeError, UsageError
 
 
+class KernelForm(NamedTuple):
+    """A linear convolution op written as one dense (c, c, 5, 5) kernel at
+    its dilation: `kernel` builds it from the op's parameter arrays (a
+    smaller kernel zero-padded to 5x5), and `grads` maps a gradient with
+    respect to it back to one gradient per parameter."""
+
+    dilation: int
+    kernel: Callable[[list[np.ndarray]], np.ndarray]
+    grads: Callable[[list[np.ndarray], np.ndarray], list[np.ndarray]]
+
+
 class Op(NamedTuple):
-    """A candidate operation: its parameter shapes for `c` channels, and its
-    forward on (params, x). A forward that returns None is the zero map."""
+    """A candidate operation: its parameter shapes for `c` channels, its
+    forward on (params, x), and, for a linear convolution, its kernel form,
+    through which a relaxed edge folds it with the edge's other convolutions.
+    A forward that returns None is the zero map."""
 
     shapes: Callable[[int], list[tuple[int, ...]]]
     forward: Callable[[list[Tensor], Tensor], Tensor | None]
+    kernel_form: KernelForm | None = None
 
 
 def _no_params(c: int) -> list[tuple[int, ...]]:
     return []
 
 
+def _centred(k: int) -> slice:
+    """The taps of a k x k kernel zero-padded to 5x5."""
+    return slice((5 - k) // 2, (5 + k) // 2)
+
+
+def _padded(kernel: np.ndarray) -> np.ndarray:
+    c_out, c_in, k, _ = kernel.shape
+    out = np.zeros((c_out, c_in, 5, 5))
+    out[:, :, _centred(k), _centred(k)] = kernel
+    return out
+
+
 def _sep_conv(k: int) -> Op:
-    """A depthwise k x k convolution, then a pointwise one."""
+    """A depthwise k x k convolution D, then a pointwise one P: together the
+    dense kernel P[o, c] * D[c, a, b]."""
+    s = _centred(k)
+
+    def grads(p: list[np.ndarray], gk: np.ndarray) -> list[np.ndarray]:
+        g = gk[:, :, s, s]
+        return [(p[1] * g).sum(axis=0)[:, None], (g * p[0][:, 0]).sum(axis=(2, 3), keepdims=True)]
+
     return Op(lambda c: [(c, 1, k, k), (c, c, 1, 1)],
-              lambda p, x: ad.conv2d(ad.conv2d(x, p[0], groups=x.shape[1]), p[1]))
+              lambda p, x: ad.conv2d(ad.conv2d(x, p[0], groups=x.shape[1]), p[1]),
+              KernelForm(1, lambda p: _padded(p[1] * p[0][:, 0]), grads))
 
 
 def _dil_conv(k: int) -> Op:
     """A dense k x k convolution at dilation 2."""
-    return Op(lambda c: [(c, c, k, k)], lambda p, x: ad.conv2d(x, p[0], dilation=2))
+    s = _centred(k)
+    return Op(lambda c: [(c, c, k, k)], lambda p, x: ad.conv2d(x, p[0], dilation=2),
+              KernelForm(2, lambda p: _padded(p[0]), lambda p, gk: [gk[:, :, s, s]]))
 
 
 # The candidate-op menu. Its order fixes the columns of the architecture
@@ -301,14 +339,110 @@ class Cell:
             raise ShapeError(f"{src.shape[0]} rows do not split into {m} weight groups")
         groups = (m, src.shape[0] // m) + src.shape[1:]
         cols = w.reshape(m, 1, 1, 1, 1, -1)  # one weight per op and row group
-        acc: Tensor | None = None
+        folded = [(k, OPS[op].kernel_form, per_op[op]) for k, op in enumerate(self.ops)
+                  if OPS[op].kernel_form is not None]
+        acc = _folded_convolutions(src, w, folded).reshape(groups) if folded else None
         for k, op in enumerate(self.ops):
+            if OPS[op].kernel_form is not None:
+                continue  # folded above
             out = OPS[op].forward(per_op[op], src)
             if out is None:
                 continue  # the zero op contributes nothing in any mixture
             term = out.reshape(groups) * cols[..., k]
             acc = term if acc is None else acc + term
         return None if acc is None else acc.reshape(src.shape)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _as_slice(places: list[int]) -> slice | None:
+    """`places` as a slice when they are evenly spaced, else None."""
+    step = places[1] - places[0] if len(places) > 1 else 1
+    if places != list(range(places[0], places[-1] + 1, step)):
+        return None
+    return slice(places[0], places[-1] + 1, step)
+
+
+@lru_cache(maxsize=None)
+def _tap_grid(h: int, w: int, dilations: tuple[int, ...]):
+    """The taps that the folded kernels of an edge on an h x w map keep.
+
+    Tap a of a 5x5 kernel at dilation d sits at offset d * (a - 2) along an
+    axis. A tap whose offset reaches no output reads only padding, so it is
+    cropped, which is exact: a kernel keeps its taps 2 - r to 2 + r, where
+    r = min(2, (n - 1) // d) on an axis of length n. The grid's offsets
+    along an axis are the union of the kept offsets of every dilation.
+    Returns the (read-only) row and column offsets, and per dilation an
+    index of its kept 5x5 taps and one of their places on the grid, each
+    for `a[index]`. A place index is a pair of slices where the places are
+    evenly spaced, as on every map of 4x4 or smaller."""
+    def axis(n: int):
+        reach = {d: min(2, (n - 1) // d) for d in dilations}
+        offsets = sorted({d * t for d in dilations for t in range(-reach[d], reach[d] + 1)})
+        places = {d: [offsets.index(d * t) for t in range(-reach[d], reach[d] + 1)]
+                  for d in dilations}
+        return _frozen(np.array(offsets)), reach, places
+
+    ty, reach_y, places_y = axis(h)
+    tx, reach_x, places_x = axis(w)
+    index = {}
+    for d in dilations:
+        kept = (slice(2 - reach_y[d], 3 + reach_y[d]), slice(2 - reach_x[d], 3 + reach_x[d]))
+        place = (_as_slice(places_y[d]), _as_slice(places_x[d]))
+        if None in place:
+            place = tuple(_frozen(i) for i in np.ix_(places_y[d], places_x[d]))
+        index[d] = ((Ellipsis,) + kept, (Ellipsis,) + place)
+    return ty, tx, index
+
+
+def _folded_convolutions(src: Tensor, w: Tensor,
+                         ops: list[tuple[int, KernelForm, list[Tensor]]]) -> Tensor:
+    """The weighted sum of a relaxed edge's convolution ops as one tape node.
+
+    `ops` holds each op's column in the weights, its kernel form and its
+    parameters. For row group m of `src`, the ops of dilation d fold
+    into K_d[m] = sum_k w[m, k] * kernel_k. Each kernel is cropped to the
+    taps that reach the map and laid on one tap grid (`_tap_grid`) shared
+    by every dilation, so one batched correlation runs the whole sum. The
+    VJP correlates the gradient with the flipped grid kernel for `src` and
+    takes the grid kernel's gradient gK[m] from the rebuilt columns: w[m, k]
+    gets <gK[m], kernel_k>, and op k's parameters get sum_m w[m, k] * gK[m],
+    read back at op k's taps, through its form."""
+    x = src.data
+    n, c, h, wd = x.shape
+    wk = w.data.reshape(-1, w.shape[-1])
+    m = wk.shape[0]
+    at = [k for k, _, _ in ops]
+    ty, tx, index = _tap_grid(h, wd, tuple(sorted({form.dilation for _, form, _ in ops})))
+    laid = np.zeros((len(ops), c, c, len(ty), len(tx)))  # each op's kernel on the grid
+    for j, (_, form, params) in enumerate(ops):
+        kept, place = index[form.dilation]
+        laid[j][place] = form.kernel([p.data for p in params])[kept]
+    flat = laid.reshape(len(ops), -1)
+    grid = (wk[:, at] @ flat).reshape(m, c, c, len(ty), len(tx))
+
+    def vjp(g):
+        cols = ad.tap_columns(x, ty, tx).reshape(m, n // m, -1, h * wd)
+        g_grid = (g.reshape(m, n // m, c, h * wd) @ cols.transpose(0, 1, 3, 2)).sum(axis=1)
+        g_src = None
+        if src.requires_grad:  # the flipped kernel lies on the same, symmetric, grid
+            g_src = ad.tap_correlate(g, grid.transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1], ty, tx)
+        g_w = np.zeros_like(wk)
+        g_w[:, at] = g_grid.reshape(m, -1) @ flat.T
+        g_laid = (wk[:, at].T @ g_grid.reshape(m, -1)).reshape(laid.shape)
+        g_params = []
+        for j, (_, form, params) in enumerate(ops):
+            kept, place = index[form.dilation]
+            g_kernel = np.zeros((c, c, 5, 5))
+            g_kernel[kept] = g_laid[j][place]
+            g_params += form.grads([p.data for p in params], g_kernel)
+        return (g_src, g_w.reshape(w.shape), *g_params)
+
+    out = ad.tap_correlate(x, grid, ty, tx)
+    return ad._make(out, (src, w, *[p for _, _, params in ops for p in params]), vjp)
 
 
 def serialize_architecture(dist: ArchDistribution) -> str:

@@ -429,7 +429,8 @@ class SearchState:
 def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig) -> FlowModel:
     """Maximum-likelihood training of one fixed discrete architecture from a
     fresh, independently seeded initialization. The model is built for
-    `arch`, so it holds and trains only the ops that `arch` picks."""
+    `arch`, so it holds and trains only the ops that `arch` picks. Its
+    `halted_at` is the step at which the divergence guard halted, or None."""
     x = np.asarray(data, dtype=np.float64)
     if x.ndim != 4 or x.shape[0] < 1:
         raise ConfigError(f"dataset must be a nonempty (N, C, H, W) array, got {x.shape}")
@@ -441,6 +442,6 @@ def retrain(arch: ArchSample, data: np.ndarray, config: RetrainConfig) -> FlowMo
     def loss_at(step: int) -> Tensor:
         return -model.log_prob(_draw_batch(x, config.batch_size, config.seed, step)).mean()
 
-    _guarded_steps("retrain", params, AdamState.for_params(params), config,
-                   range(config.iterations), loss_at, config.learning_rate)
+    _, model.halted_at = _guarded_steps("retrain", params, AdamState.for_params(params), config,
+                                        range(config.iterations), loss_at, config.learning_rate)
     return model

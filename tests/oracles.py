@@ -335,6 +335,29 @@ def per_sample_generate(ens, count, temperature, seed):
     return np.stack(out)
 
 
+def relaxed_edge_reference(cell, e, src, edge):
+    """Cell._edge_output for relaxed weights written as one tape term per
+    op: every op's forward runs alone on `src`, its output is viewed as
+    (M, B, C, H, W) and scaled by the op's weight for each row group, and
+    the terms are summed in menu order. The edge under test folds its
+    convolutions into one node instead."""
+    from nads.autodiff import Tensor
+    from nads.search_space import OPS
+
+    w = Tensor._lift(edge)
+    m = w.shape[0] if w.ndim == 2 else 1
+    groups = (m, src.shape[0] // m) + src.shape[1:]
+    cols = w.reshape(m, 1, 1, 1, 1, -1)
+    acc = None
+    for k, op in enumerate(cell.ops):
+        out = OPS[op].forward(cell.edge_params[e][op], src)
+        if out is None:
+            continue
+        term = out.reshape(groups) * cols[..., k]
+        acc = term if acc is None else acc + term
+    return None if acc is None else acc.reshape(src.shape)
+
+
 def reference_tau_schedule(doc):
     """The temperature section read key by key with its defaults restated."""
     from nads.trainer import TauSchedule

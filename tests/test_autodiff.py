@@ -163,6 +163,14 @@ class TestConvPool:
         )
         check_grad(lambda a: (ad.avg_pool3x3(a) ** 2).sum(), (2, 2, 4, 4), tol=1e-5)
 
+    def test_avg_pool_count_is_cached_and_read_only(self):
+        count = ad._valid_taps(4, 3)
+        assert ad._valid_taps(4, 3) is count and not count.flags.writeable
+        assert count[0, 0].tolist() == [[4, 6, 4], [6, 9, 6], [6, 9, 6], [4, 6, 4]]
+        x = RNG.normal(size=(2, 2, 4, 3))
+        rebuilt = ad._window_sum(x) / ad._window_sum(np.ones((1, 1, 4, 3)))
+        assert np.array_equal(ad.avg_pool3x3(Tensor(x)).data, rebuilt)
+
     def test_max_pool_matches_naive(self):
         x = RNG.normal(size=(2, 3, 5, 4))
         np.testing.assert_allclose(

@@ -99,27 +99,42 @@ flow = flow_config_from(PROFILES["desk"])
 c, h, w = flow.block_shapes()[0]
 cell = ss.Cell((c + 1) // 2, c // 2, flow.topology, flow.ops, np.random.default_rng(0))
 weights = ss.sample_relaxed(ss.ArchDistribution.uniform(flow.ops, flow.topology), 0).weights
+held = ("sep_conv_3x3", "sep_conv_5x5", "dil_conv_3x3", "dil_conv_5x5", "max_pool_3x3",
+        "identity")
+member = ss.Cell((c + 1) // 2, c // 2, flow.topology, flow.ops, np.random.default_rng(0), held)
 x = ad.Tensor(np.random.default_rng(1).normal(size=(4, (c + 1) // 2, h, w)))
 t = tracer.Tracer()
 installed = tracer.Installed(t)
 try:
     cell.forward(x, weights)
+    relaxed_spans = len(t.name)
+    member.forward(x, held)
 finally:
     installed.uninstall()
 spans = [t.names[i] for i in t.name]
 parents = [None if p < 0 else spans[p] for p in t.parent]
-kids = {{name: [q for s, q in zip(spans, parents) if s == name]
-        for name in ("autodiff.conv2d", "autodiff.pool")}}
-assert kids["autodiff.conv2d"] == ["search_space.cell"] * 36, kids  # 6 per edge
-assert kids["autodiff.pool"] == ["search_space.cell"] * 12, kids  # 2 per edge
+
+def kids(lo, hi):
+    return {{name: [q for s, q in zip(spans[lo:hi], parents[lo:hi]) if s == name]
+            for name in ("autodiff.conv2d", "autodiff.pool")}}
+
+relaxed, held_ops = kids(0, relaxed_spans), kids(relaxed_spans, len(spans))
+# A relaxed edge folds its four convolutions into one node, which is no
+# conv2d call; its two pools still run alone.
+assert relaxed["autodiff.conv2d"] == [], relaxed
+assert relaxed["autodiff.pool"] == ["search_space.cell"] * 12, relaxed  # 2 per edge
+# A member's edge runs its op alone: 2 conv2d per separable op, 1 per dilated.
+assert held_ops["autodiff.conv2d"] == ["search_space.cell"] * 6, held_ops
+assert held_ops["autodiff.pool"] == ["search_space.cell"], held_ops
 print("ok")
 """
 
 
 def test_traced_cell_shows_its_convolutions_and_pools():
     """The op table's forwards look conv2d and the pools up when they run,
-    so the tracer's rebound wrappers see every spatial op of a relaxed desk
-    cell, as children of the cell's span."""
+    so the tracer's rebound wrappers see every spatial op that a cell runs
+    alone, as children of the cell's span: a relaxed desk cell's pools, and
+    a member cell's convolutions and pool."""
     code = CELL_PROBE.format(src=str(ROOT / "src"), perfbench=str(ROOT / "perfbench"))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)

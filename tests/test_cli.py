@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nads.cli import PROFILES, main, retrain_config_from, search_config_from
+from nads.ensemble import MAX_SAMPLES, load_ensemble
 from nads.errors import ConfigError
 from nads.flow_core import CHECKPOINT_MAGIC, FlowConfig
 from nads.trainer import RetrainConfig, SearchConfig, TauSchedule
@@ -380,6 +381,8 @@ def _mixed_flows(tmp_path):
     _flag_args("generate", "--ensemble", _mixed_flows),
     _flag_args("score", "--ensemble", _mixed_flows),
     _flag_args("eval", "--bins", lambda _: "1000000000"),
+    _flag_args("generate", "--count", lambda _: str(MAX_SAMPLES + 1)),
+    _member_args(lambda e: e.update(halted_at="1")),
 ], ids=["phi-empty-object", "phi-not-json", "phi-tau-string", "phi-groups-float",
         "phi-groups-bool", "phi-logits-strings", "phi-logits-nan", "phi-six-key-layout",
         "phi-logits-rows-disagree-with-flow", "phi-logits-ragged", "data-manifest-not-json",
@@ -405,7 +408,8 @@ def _mixed_flows(tmp_path):
         "ensemble-learning-rate-nan", "ensemble-learning-rate-inf", "search-learning-rate-nan",
         "search-learning-rate-inf", "retrain-eps-zero", "retrain-beta1-above-1",
         "retrain-grad-clip-negative", "search-grad-clip-negative",
-        "generate-mixed-flows", "score-mixed-flows", "eval-bins-past-limit"])
+        "generate-mixed-flows", "score-mixed-flows", "eval-bins-past-limit",
+        "generate-count-past-limit", "member-halted-at-string"])
 def test_malformed_input_exits_2(make_args, tmp_path, toy_pipeline, capsys):
     argv = make_args(tmp_path, toy_pipeline) + ["--out-dir", str(tmp_path / "out")]
     assert main(argv) == 2
@@ -572,6 +576,20 @@ def test_member_numeric_error_exits_3(tmp_path, toy_pipeline, capsys, monkeypatc
     assert "member 0" in capsys.readouterr().err
 
 
+def test_retrain_halt_exits_3_naming_members(tmp_path, toy_pipeline, capsys):
+    out = tmp_path / "out"
+    rc = main(_toy_argv("ensemble", toy_pipeline) + [
+        "--members", "2", "--iterations", "5", "--learning-rate", "1e300",
+        "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "member 0 at step 1" in err and "member 1 at step 1" in err, err
+    assert "Traceback" not in err
+    doc = json.loads((out / "ensemble.json").read_text())
+    assert [m["halted_at"] for m in doc["members"]] == [1, 1]
+    assert [m.model.halted_at for m in load_ensemble(out / "ensemble.json").members] == [1, 1]
+
+
 class TestDryRun:
     def test_validates_and_writes_manifest_only(self, tmp_path, toy_data):
         out = tmp_path / "dry"
@@ -610,8 +628,9 @@ class TestPipelineArtifacts:
         out = toy_pipeline["root"] / "ensemble"
         doc = json.loads((out / "ensemble.json").read_text())
         assert len(doc["members"]) == 3
-        for m in doc["members"]:  # the checkpoint, whose header holds the arch, and its hash
-            assert set(m) == {"checkpoint", "sha256"}
+        for m in doc["members"]:  # the checkpoint, whose header holds the arch, its hash,
+            assert set(m) == {"checkpoint", "sha256", "halted_at"}  # and the halt, if any
+            assert m["halted_at"] is None
         for j in range(3):
             assert (out / f"member_{j:02d}.nadsflw").exists()
         manifest = json.loads((out / "manifest.json").read_text())

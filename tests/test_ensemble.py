@@ -289,7 +289,7 @@ class TestManifest:
                             batch_size=16, ensemble_size=2, seed=6)
         manifest = save_ensemble(build_ensemble(dist, data, cfg, seed=10), tmp_path)
         doc = json.loads(manifest.read_text())
-        assert all(set(e) == {"checkpoint", "sha256"} for e in doc["members"])
+        assert all(set(e) == {"checkpoint", "sha256", "halted_at"} for e in doc["members"])
         x = data[:5]
         two_key = load_ensemble(manifest)
         for e in doc["members"]:

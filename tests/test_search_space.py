@@ -19,9 +19,10 @@ from nads.search_space import (
     sample_discrete,
     sample_relaxed,
     serialize_architecture,
+    _tap_grid,
 )
 
-from oracles import finite_diff_grad, gumbel_softmax_reference
+from oracles import finite_diff_grad, gumbel_softmax_reference, relaxed_edge_reference
 
 SINGLE = CellTopology(num_nodes=2, edges=((0, 1),))
 CHAIN = CellTopology(num_nodes=3, edges=((0, 1), (1, 2)))
@@ -313,3 +314,83 @@ class TestSerialization:
         dist = ArchDistribution.uniform(("identity", "zero"), SINGLE, 2)
         text = serialize_architecture(dist)
         assert "# cell 0" in text and "# cell 1" in text
+
+
+def _edge_and_grads(edge_fn, cell, e, src, w, seed):
+    """An edge's output and the gradients of a fixed random projection of it
+    with respect to `src`, the weight rows and every op parameter."""
+    tensors = [src, w] + [p for _, p in cell.parameters()]
+    ad.zero_grad(tensors)
+    out = edge_fn(cell, e, src, w)
+    probe = np.random.default_rng(seed).normal(size=out.shape)
+    (out * Tensor(probe)).sum().backward()
+    return [out.data] + [np.zeros(t.shape) if t.grad is None else t.grad for t in tensors]
+
+
+def _folded(cell, e, src, w):
+    return cell._edge_output(e, src, w)
+
+
+SUB_MENU = ("sep_conv_5x5", "identity", "dil_conv_3x3", "zero", "sep_conv_3x3")
+
+
+class TestFoldedEdge:
+    """A relaxed edge folds its convolution ops into one tape node; it must
+    match the per-op mixture of `oracles.relaxed_edge_reference` within
+    1e-12 of each array's largest entry, output and every gradient."""
+
+    @pytest.mark.parametrize("ops", [OP_KINDS, SUB_MENU], ids=["menu", "no-pools"])
+    @pytest.mark.parametrize("m", [1, 4])
+    @pytest.mark.parametrize("c,hw", [(2, 4), (4, 2), (3, 7)],
+                             ids=["desk-block0", "desk-block1", "7x7"])
+    def test_matches_per_op_mixture(self, c, hw, m, ops):
+        rng = np.random.default_rng(c * 10 + m)
+        cell = Cell(c, c, CellTopology(), ops, rng)
+        for p in [p for _, p in cell.parameters()]:
+            p.data = rng.normal(0.0, 0.5, p.shape)  # not the small init: every term counts
+        src = Tensor(rng.normal(size=(4 * m, c, hw, hw)), requires_grad=True)
+        rows = rng.dirichlet(np.ones(len(ops)), size=m)
+        w = Tensor(rows if m > 1 else rows[0], requires_grad=True)
+        for e in (0, 5):
+            got = _edge_and_grads(_folded, cell, e, src, w, e)
+            want = _edge_and_grads(relaxed_edge_reference, cell, e, src, w, e)
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert np.abs(a - b).max() <= 1e-12 * max(np.abs(b).max(), 1e-300)
+            assert any(np.abs(g).max() > 0 for g in got[3:])  # edge e's op parameters
+
+    def test_crop_keeps_the_taps_that_reach_the_map(self):
+        ty, tx, index = _tap_grid(4, 4, (1, 2))
+        assert ty.tolist() == tx.tolist() == [-2, -1, 0, 1, 2]
+        kernel = np.arange(25.0).reshape(5, 5)
+        assert kernel[index[1][0]].shape == (5, 5) and kernel[index[2][0]].shape == (3, 3)
+        ty, tx, index = _tap_grid(2, 2, (1, 2))
+        assert ty.tolist() == [-1, 0, 1]
+        assert kernel[index[1][0]].shape == (3, 3) and kernel[index[2][0]].tolist() == [[12.0]]
+
+    def test_no_grad_relaxed_inverse_round_trip(self, monkeypatch):
+        from nads.cli import PROFILES, flow_config_from
+        from nads.flow_core import FlowModel
+
+        flow = flow_config_from(PROFILES["desk"])
+        model = FlowModel(flow, seed=3)
+        rng = np.random.default_rng(4)
+        for name, p in model.parameters():
+            if "proj" in name or "conv" in name:  # a fresh projection hides every cell
+                p.data = rng.normal(0.0, 0.2, p.shape)
+        arch = sample_relaxed(ArchDistribution.uniform(flow.ops, flow.topology,
+                                                       flow.num_cell_groups()), 5)
+        x = rng.normal(size=(3,) + flow.in_shape)
+        model.initialize_actnorm(x, arch)
+        with ad.no_grad():
+            zs, _ = model.forward(x, arch)
+            zs = [z.data for z in zs]
+            back = model.inverse(zs, arch)
+            monkeypatch.setattr(Cell, "_edge_output", lambda self, e, src, edge: (
+                relaxed_edge_reference(self, e, src, edge)))
+            ref_zs, _ = model.forward(x, arch)
+            ref_back = model.inverse(zs, arch)
+        for z, ref in zip(zs, ref_zs):
+            assert np.abs(z - ref.data).max() <= 1e-12 * np.abs(ref.data).max()
+        assert np.abs(back - ref_back).max() <= 1e-12 * np.abs(ref_back).max()
+        assert np.abs(back - x).max() <= 1e-10 * np.abs(x).max()

@@ -428,27 +428,20 @@ def conv2d(x: Tensor, weight: Tensor, dilation: int = 1, groups: int = 1) -> Ten
     return _make(_correlate(x.data, weight.data, dilation, groups), (x, weight), vjp)
 
 
-def tap_columns(x: np.ndarray, taps_y: np.ndarray, taps_x: np.ndarray) -> np.ndarray:
-    """New (N, C, len(taps_y), len(taps_x), H, W) copy of the windows of `x`
-    at the given tap offsets: entry [n, c, a, b, i, j] is
-    x[n, c, i + taps_y[a], j + taps_x[b]], zero outside the map. Each
-    offset list is ascending and symmetric about 0."""
-    ry, rx = int(taps_y[-1]), int(taps_x[-1])
-    win = _windows(x, 2 * ry + 1, 2 * rx + 1)
-    if len(taps_y) == 2 * ry + 1 and len(taps_x) == 2 * rx + 1:
-        return win.copy()  # every tap of the window; a plain copy is faster
-    return win[:, :, (taps_y + ry)[:, None], taps_x + rx]
-
-
-def tap_correlate(x: np.ndarray, kernel: np.ndarray, taps_y: np.ndarray,
-                  taps_x: np.ndarray) -> np.ndarray:
-    """"Same" correlation of M row groups, each with its own kernel, as one
-    batched product. `kernel` is (M, C_out, C, len(taps_y), len(taps_x)) on
-    the tap offsets of `tap_columns`; the N rows of `x` split into M equal
-    groups, and group m is correlated with kernel[m]."""
+def tap_columns(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """New (N, C * kh * kw, H * W) copy of the kh x kw "same" windows of
+    `x`, zero outside the map."""
     n, c, h, w = x.shape
-    m, c_out = kernel.shape[:2]
-    cols = tap_columns(x, taps_y, taps_x).reshape(m, n // m, -1, h * w)
+    return _windows(x, kh, kw).reshape(n, c * kh * kw, h * w)
+
+
+def tap_correlate(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """"Same" correlation of M row groups, each with its own kernel, as one
+    batched product. `kernel` is (M, C_out, C, kh, kw); the N rows of `x`
+    split into M equal groups, and group m is correlated with kernel[m]."""
+    n, c, h, w = x.shape
+    m, c_out, _, kh, kw = kernel.shape
+    cols = tap_columns(x, kh, kw).reshape(m, n // m, -1, h * w)
     return (kernel.reshape(m, 1, c_out, -1) @ cols).reshape(n, c_out, h, w)
 
 

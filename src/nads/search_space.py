@@ -4,8 +4,9 @@ categorical architecture distribution with Gumbel-Softmax sampling.
 The cell receives the conditioning half of the coupling layer's channels
 and emits per-element scale logits and shifts for the other half. Each DAG
 edge runs the one candidate operation its plan entry names, or mixes every
-operation by the entry's relaxed weights, its convolutions folded into one
-kernel (`_folded_convolutions`); every node sums its incoming edges.
+operation by the entry's relaxed weights, on maps of at most 4x4 its
+convolutions folded into one kernel (`_folded_convolutions`); every node
+sums its incoming edges.
 A searched cell holds every operation's parameters, shared by every sampled
 architecture; a retrained member's cell holds only the operation its
 architecture picked on each edge. `OPS` is the one table of candidate
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -110,6 +110,15 @@ OP_KINDS = tuple(OPS)
 LOG_PROB_FLOOR = -30.0  # clamp on log-probabilities before adding Gumbel noise
 
 KERNEL_INIT_STD = 0.05
+
+# A relaxed edge folds its convolutions only on maps of at most this side.
+# There every tap of a 5x5 kernel at dilation 1 or 2 that reaches the map
+# lies within 2 of the centre, so the folded kernel has at most 5x5 taps.
+# On larger maps a dilation-2 kernel reaches 4 from the centre, and the
+# dense folded kernel of the separable ops costs more than running each op
+# alone: folded, a relaxed cell's forward and backward at 6 channels on
+# 32x32 maps took 1.2x as long on a 2-CPU Xeon with 1 BLAS thread.
+FOLD_MAX_SIDE = 4
 
 DEFAULT_EDGES = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3))
 
@@ -339,11 +348,12 @@ class Cell:
             raise ShapeError(f"{src.shape[0]} rows do not split into {m} weight groups")
         groups = (m, src.shape[0] // m) + src.shape[1:]
         cols = w.reshape(m, 1, 1, 1, 1, -1)  # one weight per op and row group
+        folds = max(src.shape[2:]) <= FOLD_MAX_SIDE
         folded = [(k, OPS[op].kernel_form, per_op[op]) for k, op in enumerate(self.ops)
-                  if OPS[op].kernel_form is not None]
+                  if folds and OPS[op].kernel_form is not None]
         acc = _folded_convolutions(src, w, folded).reshape(groups) if folded else None
         for k, op in enumerate(self.ops):
-            if OPS[op].kernel_form is not None:
+            if folds and OPS[op].kernel_form is not None:
                 continue  # folded above
             out = OPS[op].forward(per_op[op], src)
             if out is None:
@@ -353,49 +363,15 @@ class Cell:
         return None if acc is None else acc.reshape(src.shape)
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-def _as_slice(places: list[int]) -> slice | None:
-    """`places` as a slice when they are evenly spaced, else None."""
-    step = places[1] - places[0] if len(places) > 1 else 1
-    if places != list(range(places[0], places[-1] + 1, step)):
-        return None
-    return slice(places[0], places[-1] + 1, step)
-
-
-@lru_cache(maxsize=None)
-def _tap_grid(h: int, w: int, dilations: tuple[int, ...]):
-    """The taps that the folded kernels of an edge on an h x w map keep.
-
-    Tap a of a 5x5 kernel at dilation d sits at offset d * (a - 2) along an
-    axis. A tap whose offset reaches no output reads only padding, so it is
-    cropped, which is exact: a kernel keeps its taps 2 - r to 2 + r, where
-    r = min(2, (n - 1) // d) on an axis of length n. The grid's offsets
-    along an axis are the union of the kept offsets of every dilation.
-    Returns the (read-only) row and column offsets, and per dilation an
-    index of its kept 5x5 taps and one of their places on the grid, each
-    for `a[index]`. A place index is a pair of slices where the places are
-    evenly spaced, as on every map of 4x4 or smaller."""
-    def axis(n: int):
-        reach = {d: min(2, (n - 1) // d) for d in dilations}
-        offsets = sorted({d * t for d in dilations for t in range(-reach[d], reach[d] + 1)})
-        places = {d: [offsets.index(d * t) for t in range(-reach[d], reach[d] + 1)]
-                  for d in dilations}
-        return _frozen(np.array(offsets)), reach, places
-
-    ty, reach_y, places_y = axis(h)
-    tx, reach_x, places_x = axis(w)
-    index = {}
-    for d in dilations:
-        kept = (slice(2 - reach_y[d], 3 + reach_y[d]), slice(2 - reach_x[d], 3 + reach_x[d]))
-        place = (_as_slice(places_y[d]), _as_slice(places_x[d]))
-        if None in place:
-            place = tuple(_frozen(i) for i in np.ix_(places_y[d], places_x[d]))
-        index[d] = ((Ellipsis,) + kept, (Ellipsis,) + place)
-    return ty, tx, index
+def _kept_taps(ry: int, rx: int, d: int):
+    """Index of the taps of a 5x5 kernel at dilation d that lie within ry rows
+    and rx columns of the centre, and index of their places on the
+    (2 ry + 1) x (2 rx + 1) tap window, each for `a[index]`."""
+    ky, kx = ry // d, rx // d
+    kept = (Ellipsis, slice(2 - ky, 3 + ky), slice(2 - kx, 3 + kx))
+    place = (Ellipsis, slice(ry - d * ky, ry + d * ky + 1, d),
+             slice(rx - d * kx, rx + d * kx + 1, d))
+    return kept, place
 
 
 def _folded_convolutions(src: Tensor, w: Tensor,
@@ -403,45 +379,48 @@ def _folded_convolutions(src: Tensor, w: Tensor,
     """The weighted sum of a relaxed edge's convolution ops as one tape node.
 
     `ops` holds each op's column in the weights, its kernel form and its
-    parameters. For row group m of `src`, the ops of dilation d fold
-    into K_d[m] = sum_k w[m, k] * kernel_k. Each kernel is cropped to the
-    taps that reach the map and laid on one tap grid (`_tap_grid`) shared
-    by every dilation, so one batched correlation runs the whole sum. The
-    VJP correlates the gradient with the flipped grid kernel for `src` and
-    takes the grid kernel's gradient gK[m] from the rebuilt columns: w[m, k]
-    gets <gK[m], kernel_k>, and op k's parameters get sum_m w[m, k] * gK[m],
-    read back at op k's taps, through its form."""
+    parameters. For row group m of `src`, the ops fold into
+    K[m] = sum_k w[m, k] * kernel_k, every kernel cropped to the taps that
+    reach the map and laid at its dilation on one tap window of at most
+    5x5 offsets, so one batched correlation runs the whole sum. The VJP
+    correlates the gradient with the flipped window kernel for `src` and
+    takes the window kernel's gradient gK[m] from the rebuilt columns:
+    w[m, k] gets <gK[m], kernel_k>, and op k's parameters get
+    sum_m w[m, k] * gK[m], read back at op k's taps, through its form."""
     x = src.data
     n, c, h, wd = x.shape
     wk = w.data.reshape(-1, w.shape[-1])
     m = wk.shape[0]
     at = [k for k, _, _ in ops]
-    ty, tx, index = _tap_grid(h, wd, tuple(sorted({form.dilation for _, form, _ in ops})))
-    laid = np.zeros((len(ops), c, c, len(ty), len(tx)))  # each op's kernel on the grid
-    for j, (_, form, params) in enumerate(ops):
-        kept, place = index[form.dilation]
+    ry, rx = min(2, h - 1), min(2, wd - 1)  # offsets past these reach no output
+    taps = [_kept_taps(ry, rx, form.dilation) for _, form, _ in ops]
+    laid = np.zeros((len(ops), c, c, 2 * ry + 1, 2 * rx + 1))  # each op's kernel on the window
+    for j, ((_, form, params), (kept, place)) in enumerate(zip(ops, taps)):
         laid[j][place] = form.kernel([p.data for p in params])[kept]
     flat = laid.reshape(len(ops), -1)
-    grid = (wk[:, at] @ flat).reshape(m, c, c, len(ty), len(tx))
+
+    def mixed() -> np.ndarray:
+        return (wk[:, at] @ flat).reshape((m, c) + laid.shape[2:])
 
     def vjp(g):
-        cols = ad.tap_columns(x, ty, tx).reshape(m, n // m, -1, h * wd)
-        g_grid = (g.reshape(m, n // m, c, h * wd) @ cols.transpose(0, 1, 3, 2)).sum(axis=1)
+        # The mixed kernels are rebuilt rather than kept: M of them per edge
+        # on the tape would raise the peak memory.
+        cols = ad.tap_columns(x, 2 * ry + 1, 2 * rx + 1).reshape(m, n // m, -1, h * wd)
+        g_mixed = (g.reshape(m, n // m, c, h * wd) @ cols.transpose(0, 1, 3, 2)).sum(axis=1)
         g_src = None
-        if src.requires_grad:  # the flipped kernel lies on the same, symmetric, grid
-            g_src = ad.tap_correlate(g, grid.transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1], ty, tx)
+        if src.requires_grad:  # the flipped kernel lies on the same, symmetric, window
+            g_src = ad.tap_correlate(g, mixed().transpose(0, 2, 1, 3, 4)[..., ::-1, ::-1])
         g_w = np.zeros_like(wk)
-        g_w[:, at] = g_grid.reshape(m, -1) @ flat.T
-        g_laid = (wk[:, at].T @ g_grid.reshape(m, -1)).reshape(laid.shape)
+        g_w[:, at] = g_mixed.reshape(m, -1) @ flat.T
+        g_laid = (wk[:, at].T @ g_mixed.reshape(m, -1)).reshape(laid.shape)
         g_params = []
-        for j, (_, form, params) in enumerate(ops):
-            kept, place = index[form.dilation]
+        for j, ((_, form, params), (kept, place)) in enumerate(zip(ops, taps)):
             g_kernel = np.zeros((c, c, 5, 5))
             g_kernel[kept] = g_laid[j][place]
             g_params += form.grads([p.data for p in params], g_kernel)
         return (g_src, g_w.reshape(w.shape), *g_params)
 
-    out = ad.tap_correlate(x, grid, ty, tx)
+    out = ad.tap_correlate(x, mixed())
     return ad._make(out, (src, w, *[p for _, _, params in ops for p in params]), vjp)
 
 

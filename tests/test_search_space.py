@@ -19,8 +19,9 @@ from nads.search_space import (
     sample_discrete,
     sample_relaxed,
     serialize_architecture,
-    _tap_grid,
+    _kept_taps,
 )
+from nads import search_space as ss
 
 from oracles import finite_diff_grad, gumbel_softmax_reference, relaxed_edge_reference
 
@@ -341,14 +342,14 @@ class TestFoldedEdge:
 
     @pytest.mark.parametrize("ops", [OP_KINDS, SUB_MENU], ids=["menu", "no-pools"])
     @pytest.mark.parametrize("m", [1, 4])
-    @pytest.mark.parametrize("c,hw", [(2, 4), (4, 2), (3, 7)],
-                             ids=["desk-block0", "desk-block1", "7x7"])
-    def test_matches_per_op_mixture(self, c, hw, m, ops):
+    @pytest.mark.parametrize("c,h,w", [(2, 4, 4), (4, 2, 2), (3, 4, 1), (3, 5, 5)],
+                             ids=["desk-block0", "desk-block1", "4x1", "5x5-per-op"])
+    def test_matches_per_op_mixture(self, c, h, w, m, ops):
         rng = np.random.default_rng(c * 10 + m)
         cell = Cell(c, c, CellTopology(), ops, rng)
         for p in [p for _, p in cell.parameters()]:
             p.data = rng.normal(0.0, 0.5, p.shape)  # not the small init: every term counts
-        src = Tensor(rng.normal(size=(4 * m, c, hw, hw)), requires_grad=True)
+        src = Tensor(rng.normal(size=(4 * m, c, h, w)), requires_grad=True)
         rows = rng.dirichlet(np.ones(len(ops)), size=m)
         w = Tensor(rows if m > 1 else rows[0], requires_grad=True)
         for e in (0, 5):
@@ -360,13 +361,29 @@ class TestFoldedEdge:
             assert any(np.abs(g).max() > 0 for g in got[3:])  # edge e's op parameters
 
     def test_crop_keeps_the_taps_that_reach_the_map(self):
-        ty, tx, index = _tap_grid(4, 4, (1, 2))
-        assert ty.tolist() == tx.tolist() == [-2, -1, 0, 1, 2]
         kernel = np.arange(25.0).reshape(5, 5)
-        assert kernel[index[1][0]].shape == (5, 5) and kernel[index[2][0]].shape == (3, 3)
-        ty, tx, index = _tap_grid(2, 2, (1, 2))
-        assert ty.tolist() == [-1, 0, 1]
-        assert kernel[index[1][0]].shape == (3, 3) and kernel[index[2][0]].tolist() == [[12.0]]
+        window = np.zeros((5, 5))
+        kept, place = _kept_taps(2, 2, 1)  # a 4x4 map: every tap at dilation 1
+        assert kernel[kept].shape == (5, 5) and window[place].shape == (5, 5)
+        kept, place = _kept_taps(2, 2, 2)  # 3x3 taps, every other place
+        window[place] = kernel[kept]
+        assert window[::2, ::2].tolist() == kernel[1:4, 1:4].tolist()
+        assert not window[1::2].any() and not window[:, 1::2].any()
+        kept, place = _kept_taps(1, 1, 1)  # a 2x2 map
+        assert kernel[kept].tolist() == kernel[1:4, 1:4].tolist()
+        kept, place = _kept_taps(1, 1, 2)  # only the centre tap
+        assert kernel[kept].tolist() == [[12.0]] and np.zeros((3, 3))[place].shape == (1, 1)
+
+    @pytest.mark.parametrize("h,w,folds", [(4, 4, True), (2, 3, True), (5, 4, False),
+                                           (1, 8, False)])
+    def test_folds_on_maps_of_at_most_4x4(self, h, w, folds, monkeypatch):
+        calls = []
+        fold = ss._folded_convolutions
+        monkeypatch.setattr(ss, "_folded_convolutions",
+                            lambda *a: calls.append(a[0].shape) or fold(*a))
+        cell = Cell(2, 2, SINGLE, OP_KINDS, np.random.default_rng(0))
+        cell._edge_output(0, Tensor(np.ones((1, 2, h, w))), np.full(len(OP_KINDS), 1 / 9))
+        assert calls == ([(1, 2, h, w)] if folds else [])
 
     def test_no_grad_relaxed_inverse_round_trip(self, monkeypatch):
         from nads.cli import PROFILES, flow_config_from
